@@ -3,10 +3,12 @@
 Symbols come in two flavours: the degree-1 atoms u_i with multidegree
 (-1, 2e_i), and composite generators indexed by a pair (J, i) standing for
 the nested commutator c(J \\ i, u_i), of total degree |J| and multidegree
-(-|J|, 2J).  Words are plain tuples of symbols, polynomials are word ->
-coefficient maps, and nothing is ever rewritten: equality in this layer is
-literal coefficient equality, which is what makes it a trustworthy substrate
-for the sign-identity test suite.
+(-|J|, 2J).  Symbols are interned, so their equality is identity and a
+word hashes at C speed.  Words are plain tuples of symbols, polynomials are
+word -> coefficient maps (long sums run in place, through ``accumulate``),
+and nothing is ever rewritten: equality in this layer is literal
+coefficient equality, which is what makes it a trustworthy substrate for
+the sign-identity test suite.
 
 Sign conventions (total degree drives all Koszul signs):
 
@@ -27,25 +29,34 @@ from .exactlin import ZZ
 # ---------------------------------------------------------------------------
 
 class GeneratorSymbol:
-    """Either the atom u_i or the composite generator for (J, i)."""
+    """The atom u_i or the composite generator for (J, i), interned."""
 
-    __slots__ = ("kind", "i", "j_set", "_key")
+    __slots__ = ("kind", "i", "j_set", "_key", "_text")
+    _interned = {}  # sort key -> the one symbol with that key
 
-    def __init__(self, kind, i, j_set=None):
-        self.kind = kind
-        self.i = i
+    def __new__(cls, kind, i, j_set=None):
         if kind == "u":
-            self.j_set = None
-            self._key = (0, (i,), i)
+            key, j_set = (0, (i,), i), None
         elif kind == "g":
-            js = frozenset(j_set)
-            if i not in js:
+            j_set = frozenset(j_set)
+            if i not in j_set:
                 raise PreconditionViolated("generator index %d not in J=%s"
-                                           % (i, sorted(js)))
-            self.j_set = js
-            self._key = (1, tuple(sorted(js)), i)
+                                           % (i, sorted(j_set)))
+            key = (1, tuple(sorted(j_set)), i)
         else:
             raise ValueError("unknown symbol kind %r" % (kind,))
+        sym = cls._interned.get(key)
+        if sym is None:
+            sym = object.__new__(cls)
+            sym.kind, sym.i, sym.j_set, sym._key = kind, i, j_set, key
+            sym._text = ("u%d" % i if kind == "u" else
+                         render_nested_commutator(sorted(j_set - {i}), i))
+            # setdefault: of two threads racing here, both get one object
+            sym = cls._interned.setdefault(key, sym)
+        return sym
+
+    def __reduce__(self):
+        return GeneratorSymbol, (self.kind, self.i, self.j_set)
 
     @property
     def total_degree(self):
@@ -66,15 +77,7 @@ class GeneratorSymbol:
         return self._key
 
     def render(self):
-        if self.kind == "u":
-            return "u%d" % self.i
-        return render_nested_commutator(sorted(self.j_set - {self.i}), self.i)
-
-    def __eq__(self, other):
-        return isinstance(other, GeneratorSymbol) and self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
+        return self._text
 
     def __repr__(self):
         return self.render()
@@ -147,28 +150,28 @@ class FreePolynomial:
     def generator(cls, symbol, ring=ZZ):
         return cls.monomial((symbol,), 1, ring)
 
+    @classmethod
+    def _wrap(cls, ring, terms):  # raw constructor: terms holds no zero
+        poly = object.__new__(cls)
+        poly.ring, poly.terms = ring, terms
+        return poly
+
     # -- ring sanity --
     def _check(self, other):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatch("polynomials over different rings")
 
     # -- arithmetic --
     def __add__(self, other):
         self._check(other)
         out = dict(self.terms)
-        ring = self.ring
-        for w, c in other.terms.items():
-            v = ring.add(out.get(w, ring.zero()), c)
-            if ring.is_zero(v):
-                out.pop(w, None)
-            else:
-                out[w] = v
-        return FreePolynomial(ring, out)
+        accumulate(out, other)
+        return FreePolynomial._wrap(self.ring, out)
 
     def __neg__(self):
         ring = self.ring
-        return FreePolynomial(ring, {w: ring.neg(c)
-                                     for w, c in self.terms.items()})
+        return FreePolynomial._wrap(ring, {w: ring.neg(c)
+                                           for w, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -178,8 +181,8 @@ class FreePolynomial:
         c = ring.from_int(coeff) if isinstance(coeff, int) else coeff
         if ring.is_zero(c):
             return FreePolynomial(ring)
-        return FreePolynomial(ring, {w: ring.mul(c, x)
-                                     for w, x in self.terms.items()})
+        return FreePolynomial._wrap(ring, {w: ring.mul(c, x)
+                                           for w, x in self.terms.items()})
 
     def __rmul__(self, coeff):
         if isinstance(coeff, int):
@@ -200,7 +203,7 @@ class FreePolynomial:
                     out.pop(w, None)
                 else:
                     out[w] = v
-        return FreePolynomial(ring, out)
+        return FreePolynomial._wrap(ring, out)
 
     def __eq__(self, other):
         return (isinstance(other, FreePolynomial) and self.ring == other.ring
@@ -274,6 +277,21 @@ def _render_term(coeff, body):
     return "%s*%s" % (c, body)
 
 
+def accumulate(acc, poly, coeff=1):
+    """acc += coeff * poly in place on a word -> coefficient dict over
+    poly.ring, in time linear in poly; cancelled words are dropped."""
+    ring = poly.ring
+    c = ring.from_int(coeff) if isinstance(coeff, int) else coeff
+    unit = c == ring.one()
+    zero = ring.zero()
+    for w, x in poly.terms.items():
+        v = ring.add(acc.get(w, zero), x if unit else ring.mul(c, x))
+        if ring.is_zero(v):
+            acc.pop(w, None)
+        else:
+            acc[w] = v
+
+
 # ---------------------------------------------------------------------------
 # graded operations
 # ---------------------------------------------------------------------------
@@ -341,12 +359,12 @@ def expand_uI_x(i_set, x):
     dx = x.total_degree()
     if dx is None:
         return FreePolynomial.zero(x.ring)
-    out = FreePolynomial.zero(x.ring)
+    out = {}
     for a, b in _partitions(i_set):
         sign = (koszul_theta(a, b) + dx * len(b)) % 2
         term = nested_commutator(a, x) * u_word(b, x.ring)
-        out = out + (term if sign == 0 else -term)
-    return out
+        accumulate(out, term, -1 if sign else 1)
+    return FreePolynomial._wrap(x.ring, out)
 
 
 def expand_uI_uj(i_set, j, ring=ZZ):
@@ -358,13 +376,13 @@ def expand_uI_uj(i_set, j, ring=ZZ):
     """
     i_set = frozenset(i_set)
     uj = FreePolynomial.generator(atom_u(j), ring)
-    out = FreePolynomial.zero(ring)
+    out = {}
     for a, b in _partitions(i_set):
         if not a or max(a) <= j:
             continue
         sign = (koszul_theta(a, b) + len(b)) % 2
         term = nested_commutator(a, uj) * u_word(b, ring)
-        out = out + (term if sign == 0 else -term)
+        accumulate(out, term, -1 if sign else 1)
     above = sum(1 for v in i_set if v > j)
     if j not in i_set:
         tail = u_word(i_set | {j}, ring)
@@ -373,8 +391,8 @@ def expand_uI_uj(i_set, j, ring=ZZ):
         word = tuple(atom_u(v) for v in below) + (atom_u(j), atom_u(j)) + \
             tuple(atom_u(v) for v in sorted(i_set) if v > j)
         tail = FreePolynomial.monomial(word, 1, ring)
-    out = out + (tail if above % 2 == 0 else -tail)
-    return out
+    accumulate(out, tail, -1 if above % 2 else 1)
+    return FreePolynomial._wrap(ring, out)
 
 
 def expand_c_of_bracket(i_set, x, y):
@@ -382,13 +400,13 @@ def expand_c_of_bracket(i_set, x, y):
     dx = x.total_degree()
     if dx is None:
         return FreePolynomial.zero(x.ring)
-    out = FreePolynomial.zero(x.ring)
+    out = {}
     for a, b in _partitions(i_set):
         sign = (koszul_theta(a, b) + dx * len(b)) % 2
         term = graded_commutator(nested_commutator(a, x),
                                  nested_commutator(b, y))
-        out = out + (term if sign == 0 else -term)
-    return out
+        accumulate(out, term, -1 if sign else 1)
+    return FreePolynomial._wrap(x.ring, out)
 
 
 def rearrangement_identity_rhs(j_set, i, j, ring=ZZ):
@@ -411,8 +429,9 @@ def rearrangement_identity_rhs(j_set, i, j, ring=ZZ):
     uj = FreePolynomial.generator(atom_u(j), ring)
     first = nested_commutator(j_set - {i}, ui)
     second = nested_commutator(j_set - {j}, uj)
-    out = (first if len(above_j) % 2 == 0 else -first)
-    out = out - (second if above_i % 2 == 0 else -second)
+    out = {}
+    accumulate(out, first, -1 if len(above_j) % 2 else 1)
+    accumulate(out, second, 1 if above_i % 2 else -1)
     for a, b in _partitions(j_set - {i, j}):
         if not a or max(a) <= i:
             continue
@@ -421,8 +440,8 @@ def rearrangement_identity_rhs(j_set, i, j, ring=ZZ):
         sign = (koszul_theta(a, b) + len(b)) % 2
         term = graded_commutator(nested_commutator(a, ui),
                                  nested_commutator(b, uj))
-        out = out + (term if sign == 0 else -term)
-    return out
+        accumulate(out, term, -1 if sign else 1)
+    return FreePolynomial._wrap(ring, out)
 
 
 def rearrangement_identity_lhs(j_set, i, j, ring=ZZ):

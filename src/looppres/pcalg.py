@@ -139,7 +139,7 @@ class PCElement:
         self._hash = None
 
     def _check(self, other):
-        if self.algebra != other.algebra:
+        if self.algebra is not other.algebra and self.algebra != other.algebra:
             raise AlgebraMismatch("elements of different algebras")
 
     def is_zero(self):
@@ -253,26 +253,36 @@ def evaluate(poly, algebra, assignment=None):
 
     Atoms u_i go to the generators automatically; composite symbols must be
     bound in ``assignment`` (symbol -> PCElement) or UnboundSymbol is raised.
+    Within one call each proper prefix is multiplied out once and kept, so
+    words sharing a prefix share its product; a zero prefix ends the word.
     """
     if poly.ring != algebra.ring:
         raise RingMismatch("polynomial ring %r vs algebra ring %r"
                            % (poly.ring, algebra.ring))
     assignment = assignment or {}
-    out = algebra.zero()
+    ring = algebra.ring
+    prefixes = {(): algebra.one()}
+
+    def value(word):
+        if word in prefixes:
+            return prefixes[word]
+        factor = prefixes[word[:-1]] = value(word[:-1])
+        sym = word[-1]
+        if factor.is_zero():
+            return factor
+        if sym.kind == "u":
+            return factor * algebra.generator(sym.i)
+        if sym not in assignment:
+            raise UnboundSymbol("no value bound for %s" % sym.render())
+        return factor * assignment[sym]
+
+    acc = {}
+    zero = ring.zero()
     for word, coeff in poly.terms.items():
-        factor = algebra.one()
-        for sym in word:
-            if sym.kind == "u":
-                val = algebra.generator(sym.i)
-            elif sym in assignment:
-                val = assignment[sym]
-            else:
-                raise UnboundSymbol("no value bound for %s" % sym.render())
-            factor = factor * val
-            if factor.is_zero():
-                break
-        out = out + factor.scale(coeff)
-    return out
+        for w, c in value(word).terms:
+            acc[w] = ring.add(acc.get(w, zero), ring.mul(coeff, c))
+    return PCElement(algebra, tuple(sorted(
+        (w, c) for w, c in acc.items() if not ring.is_zero(c))))
 
 
 def commutator_value(algebra, prefix, i):

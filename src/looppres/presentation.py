@@ -25,6 +25,7 @@ are +-1 sums over Z); callers convert to their coefficient ring.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -32,6 +33,7 @@ from .errors import NotACycle, PreconditionViolated
 from .exactlin import ExactMatrix, ZZ, cokernel_invariants
 from .freealg import (
     FreePolynomial,
+    accumulate,
     gptw_symbol,
     graded_commutator,
     koszul_theta,
@@ -103,12 +105,15 @@ def gptw_assignment(k, ring=ZZ):
 # the rewriting engine
 # ---------------------------------------------------------------------------
 
+_IN_PROGRESS = threading.local()  # .calls: this thread's (id(k), J, i) set
+
+
 def rewrite_chat(k, j_set, i):
     """c(J \\ i, u_i) as an integer polynomial in generator symbols.
 
-    Memoized on the complex; pure, so concurrent recomputation would be
-    harmless.  Requires |J| >= 2: for J = {i} the element u_i does not lie
-    in the loop homology subalgebra at all.
+    Memoized on the complex; calls in progress are tracked per thread, so
+    concurrent calls are safe.  Requires |J| >= 2: for J = {i} the element
+    u_i does not lie in the loop homology subalgebra at all.
     """
     require_flag(k)
     j_set = frozenset(j_set)
@@ -120,16 +125,15 @@ def rewrite_chat(k, j_set, i):
     key = (j_set, i)
     if key in memo:
         return memo[key]
-    in_progress = getattr(k, "_rewrite_in_progress", None)
-    if in_progress is None:
-        in_progress = k._rewrite_in_progress = set()
-    if key in in_progress:
+    in_progress = vars(_IN_PROGRESS).setdefault("calls", set())
+    call = (id(k), j_set, i)
+    if call in in_progress:
         raise AssertionError("rewrite recursion cycle at %r" % (key,))
-    in_progress.add(key)
+    in_progress.add(call)
     try:
         result = _rewrite_uncached(k, j_set, i)
     finally:
-        in_progress.discard(key)
+        in_progress.discard(call)
     memo[key] = result
     return result
 
@@ -196,7 +200,12 @@ def _solve_rearrangement(k, j_set, i, neighbor):
         raise AssertionError("J_{>b} empty for %s, %d, %d"
                              % (sorted(j_set), a, b))
     rest = sorted(j_set - {a, b})
-    cross = FreePolynomial.zero(ZZ)
+    lead = 1 if (above_a + above_b) % 2 == 0 else -1
+    if i == a:
+        other, tail = b, (-1 if above_b % 2 == 0 else 1)
+    else:
+        other, tail = a, (1 if above_a % 2 == 0 else -1)
+    out = {}
     for mask in range(1 << len(rest)):
         a_set = frozenset(rest[t] for t in range(len(rest)) if mask >> t & 1)
         if not a_set or max(a_set) <= a:
@@ -207,16 +216,9 @@ def _solve_rearrangement(k, j_set, i, neighbor):
         sign = (koszul_theta(a_set, b_set) + len(b_set)) % 2
         term = graded_commutator(rewrite_chat(k, a_set | {a}, a),
                                  rewrite_chat(k, b_set | {b}, b))
-        cross = cross + (term if sign == 0 else -term)
-    if i == a:
-        other = rewrite_chat(k, j_set, b)
-        lead = 1 if (above_a + above_b) % 2 == 0 else -1
-        tail = -1 if above_b % 2 == 0 else 1
-        return lead * other + tail * cross
-    other = rewrite_chat(k, j_set, a)
-    lead = 1 if (above_a + above_b) % 2 == 0 else -1
-    tail = 1 if above_a % 2 == 0 else -1
-    return lead * other + tail * cross
+        accumulate(out, term, -tail if sign else tail)
+    accumulate(out, rewrite_chat(k, j_set, other), lead)
+    return FreePolynomial(ZZ, out)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +274,7 @@ def _relation_data(k, ring, kappa):
         raise NotACycle("relation synthesis needs a chain of edges")
     if not is_cycle(k, kappa, ring):
         raise NotACycle("chain has nonzero boundary")
-    poly = FreePolynomial.zero(ring)
+    poly = {}
     terms = []
     for face, lam in kappa.terms:
         i, j = sorted(face)
@@ -299,9 +301,8 @@ def _relation_data(k, ring, kappa):
                                         alive=alive))
             ca = rewrite_chat(k, a_set | {i}, i).convert_ring(ring)
             cb = rewrite_chat(k, b_set | {j}, j).convert_ring(ring)
-            bracket = graded_commutator(ca, cb)
-            poly = poly + bracket.scale(coeff)
-    return poly, terms
+            accumulate(poly, graded_commutator(ca, cb), coeff)
+    return FreePolynomial(ring, poly), terms
 
 
 def _normalize_sign(ring, poly, terms):
@@ -463,7 +464,7 @@ def _merge_relations(k, ring, entries, vec):
                 acc.pop(face, None)
             else:
                 acc[face] = val
-    poly = None
+    poly = {}
     parts = []
     terms = []
     degree = None
@@ -474,10 +475,10 @@ def _merge_relations(k, ring, entries, vec):
                                                    key=lambda t: sorted(t[0]))))
         parts.append((j_set, kappa))
         p, t = _relation_data(k, ring, kappa)
-        poly = p if poly is None else poly + p
+        accumulate(poly, p)
         terms.extend(t)
         degree = len(j_set)
-    poly, terms = _normalize_sign(ring, poly, terms)
+    poly, terms = _normalize_sign(ring, FreePolynomial(ring, poly), terms)
     return Relation(degree=degree, poly=poly, parts=tuple(parts),
                     terms=tuple(terms))
 

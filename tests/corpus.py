@@ -21,8 +21,10 @@ def broom_tree():
     return graph_complex(6, [(1, 2), (2, 3), (3, 4), (2, 5), (5, 6)])
 
 
-def rp2_skeleton_clique():
-    # the 1-skeleton of the minimal RP^2 triangulation is the complete graph
+def k6_clique():
+    # the clique complex of the complete graph K_6, i.e. the full simplex on
+    # six vertices (K_6 is also the 1-skeleton of the minimal RP^2, whence
+    # this entry's former name; its clique complex is not RP^2)
     edges = [(i, j) for i in range(1, 7) for j in range(i + 1, 7)]
     return clique_complex(6, edges)
 
@@ -38,7 +40,7 @@ def named_complexes():
     out.append(("path-5", path_complex(5)))
     out.append(("star-5", star_complex(5)))
     out.append(("broom-6", broom_tree()))
-    out.append(("rp2-skeleton-clique", rp2_skeleton_clique()))
+    out.append(("k6-clique", k6_clique()))
     out.append(("octahedron", octahedron()))
     return out
 

@@ -1,3 +1,4 @@
+import pickle
 import random
 from itertools import combinations
 
@@ -7,6 +8,8 @@ from looppres.errors import NotHomogeneous, PreconditionViolated
 from looppres.exactlin import GF, ZZ
 from looppres.freealg import (
     FreePolynomial,
+    GeneratorSymbol,
+    accumulate,
     atom_u,
     expand_c_of_bracket,
     expand_uI_uj,
@@ -213,3 +216,52 @@ def test_ring_conversion():
     q = p.convert_ring(GF(3))
     assert list(q.terms.values()) == [1]  # 3 vanishes, -5 = 1 mod 3
     assert p.convert_ring(ZZ) is p
+
+
+def test_symbols_are_interned():
+    assert atom_u(3) is atom_u(3)
+    assert GeneratorSymbol("u", 3) is atom_u(3)
+    g = gptw_symbol([4, 1, 3], 1)
+    assert gptw_symbol({1, 3, 4}, 1) is g
+    assert gptw_symbol(frozenset({3, 4, 1}), 1) is g
+    assert GeneratorSymbol("g", 1, (3, 1, 4)) is g
+    assert gptw_symbol({1, 3, 4}, 3) is not g
+    assert pickle.loads(pickle.dumps(g)) is g
+    # keys and texts are those of the uninterned symbols
+    assert atom_u(3).sort_key() == (0, (3,), 3)
+    assert atom_u(3).render() == "u3"
+    assert g.sort_key() == (1, (1, 3, 4), 1)
+    assert g.render() == "[u3,[u4,u1]]"
+    assert gptw_symbol({1, 3, 4}, 3).render() == "[u1,[u4,u3]]"
+
+
+def test_accumulate_matches_repeated_addition():
+    rng = random.Random(5)
+    for _ in range(20):
+        polys = [random_word_poly(rng, m=3, maxlen=2) for _ in range(8)]
+        coeffs = [rng.choice([1, -1, 2, -3]) for _ in polys]
+        acc = {}
+        total = FreePolynomial.zero()
+        for p, c in zip(polys, coeffs):
+            accumulate(acc, p, c)
+            total = total + p.scale(c)
+        assert acc == total.terms
+        assert 0 not in acc.values()
+
+
+def test_cancellation_over_f2_stores_no_zero():
+    f2 = GF(2)
+    p = (FreePolynomial.generator(atom_u(1), f2)
+         * FreePolynomial.generator(atom_u(2), f2)
+         + FreePolynomial.generator(atom_u(3), f2))
+    assert (p + p).terms == {}
+    acc = {}
+    accumulate(acc, p)
+    accumulate(acc, p)
+    assert acc == {}
+    accumulate(acc, p, 3)  # 3 = 1 in F_2
+    assert acc == p.terms
+    accumulate(acc, p, 2)  # 2 = 0 in F_2: no change, nothing stored
+    assert acc == p.terms
+    accumulate(acc, p, -1)
+    assert acc == {}

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from looppres.errors import AlgebraMismatch, NotFlag, UnboundSymbol
-from looppres.exactlin import GF, ZZ
+from looppres.exactlin import GF, QQ, ZZ
 from looppres.freealg import FreePolynomial, atom_u, gptw_symbol, graded_commutator
 from looppres.pcalg import PCAlgebra, commutator_value, evaluate, graded_dimensions
 from looppres.simplicial import (
@@ -151,6 +151,47 @@ def test_evaluate():
     bound = evaluate(FreePolynomial.generator(g), PENTAGON,
                      {g: commutator_value(PENTAGON, {3}, 1)})
     assert bound == val
+
+
+def naive_evaluate(poly, algebra, assignment):
+    """Reference: every word multiplied out afresh, summed term by term."""
+    out = algebra.zero()
+    for word, coeff in poly.terms.items():
+        factor = algebra.one()
+        for sym in word:
+            factor = factor * (algebra.generator(sym.i) if sym.kind == "u"
+                               else assignment[sym])
+        out = out + factor.scale(coeff)
+    return out
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(3)])
+def test_evaluate_matches_naive_evaluation(ring):
+    rng = random.Random(11)
+    k = clique_complex(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (2, 4)])
+    alg = PCAlgebra(k, ring)
+    assignment = {}
+    for j_set in ({1, 3}, {2, 5}, {1, 3, 5}, {1, 4}):
+        for i in j_set:
+            assignment[gptw_symbol(j_set, i)] = commutator_value(
+                alg, frozenset(j_set) - {i}, i)
+    letters = [atom_u(v) for v in range(1, 6)] + list(assignment)
+    prefixes = [(), (atom_u(1), atom_u(1))]  # the second one is zero
+    for _ in range(40):
+        terms = {}
+        for _ in range(rng.randint(1, 30)):
+            word = rng.choice(prefixes) + tuple(
+                rng.choice(letters) for _ in range(rng.randint(0, 3)))
+            terms[word] = ring.from_int(rng.choice([1, -1, 2, 3, -5]))
+            if len(word) < 4:
+                prefixes.append(word)
+        poly = FreePolynomial(ring, terms)
+        assert evaluate(poly, alg, assignment) == \
+            naive_evaluate(poly, alg, assignment)
+    unbound = gptw_symbol({2, 4}, 2)
+    with pytest.raises(UnboundSymbol):
+        evaluate(FreePolynomial.monomial((atom_u(1), unbound), 1, ring), alg,
+                 assignment)
 
 
 def test_algebra_mismatch():

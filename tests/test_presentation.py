@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import pytest
 
@@ -325,3 +327,33 @@ def test_random_flag_presentations_verify():
         pres = build_presentation(k, ZZ)
         report = verify_presentation(k, pres)
         assert report.ok, (sorted(map(sorted, k.facets)), report.summary())
+
+
+def test_concurrent_builds_of_one_complex():
+    # the threads share the complex's rewrite memo; none may mistake a call
+    # in progress on another thread for a recursion cycle (two fresh
+    # complexes, because the race is lost only some of the time)
+    for k in (cycle_complex(7), cycle_complex(7)):
+        results, errors = [None] * 4, []
+
+        def build(t):
+            try:
+                results[t] = presentation_to_dict(build_presentation(k, ZZ))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=build, args=(t,))
+                   for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert not errors, errors
+        assert results[0] is not None
+        assert all(r == results[0] for r in results)
