@@ -28,6 +28,7 @@ from .homotopy import (
 from .pcalg import PCAlgebra, graded_dimensions
 from .presentation import (
     build_presentation,
+    pc_algebra,
     presentation_to_dict,
     render_relation,
     verify_presentation,
@@ -139,8 +140,9 @@ def cmd_analyze(k, args, ring, flag_ok, witness):
 def cmd_presentation(k, args, ring):
     pres = build_presentation(k, ring, args.grading)
     if args.as_json:
-        print(json.dumps(presentation_to_dict(pres), indent=2,
-                         sort_keys=True))
+        json.dump(presentation_to_dict(pres), sys.stdout, indent=2,
+                  sort_keys=True)
+        sys.stdout.write("\n")
         return EXIT_OK
     print("generators: %d" % len(pres.generators))
     for g in pres.generators:
@@ -220,7 +222,7 @@ def cmd_verify(k, args, ring):
                    "%d/%d subsets agree" % (sum(1 for _, ok in tor_rows if ok),
                                             len(tor_rows))))
 
-    alg = PCAlgebra(k, ring)
+    alg = pc_algebra(k, ring)
     cycles_total = cycles_ok = 0
     for j in all_subsets(k.m):
         if not j:

@@ -9,12 +9,13 @@ word of the class.
 
 Normal form.  Naive rewriting ("swap adjacent decreasing K-adjacent pairs")
 is not confluent: with letters k > j > i and edges {j,k}, {i,j} only, the
-words (j,k,i) and (k,i,j) are both locally stuck yet equal up to sign.  So
-``normalize`` computes the global lex-least representative greedily: among
-the letters that can be moved to the front (every earlier letter K-adjacent
-to them), pull the smallest-valued one forward, pick up a sign from the
-parity of the jump, and recurse on the rest.  A word is zero exactly when
-some value occurs twice with all intermediate letters K-adjacent to it.
+words (j,k,i) and (k,i,j) are both locally stuck yet equal up to sign.  The
+lex-least representative is instead built one letter at a time (Anisimov-
+Knuth): to append x to a normal word, scan back over its suffix of letters
+K-adjacent to x.  Meeting x itself makes the product zero; the first letter
+not adjacent to x ends the scan; x goes in just before the leftmost scanned
+letter larger than x (at the end if there is none), and the sign flips once
+for each letter x jumps.
 
 Elements are immutable and hashable so they can serve as letters of bar
 construction tensors downstream.
@@ -47,43 +48,36 @@ class PCAlgebra:
     def normalize(self, word):
         """Canonical form of a monomial: None if zero, else (sign, word).
 
-        The sign is +-1 as a plain int; the word is a tuple of vertices.
+        The sign is +-1 as a plain int; the word is a tuple of vertices,
+        built by appending the letters one at a time (see ``_append``).
         """
-        word = tuple(word)
-        adj = self.adjacent
         for v in word:
             if not (1 <= v <= self.m):
                 raise VertexOutOfRange("vertex %r not in [1..%d]" % (v, self.m))
-        # zero detection: equal letters separated only by K-adjacent letters
-        last_seen = {}
-        for pos, v in enumerate(word):
-            if v in last_seen:
-                p = last_seen[v]
-                if all(word[t] in adj[v] for t in range(p + 1, pos)):
+        return self._append((), 1, word)
+
+    def _append(self, word, sign, letters):
+        """Normal form of sign * word * letters for an already normal word."""
+        adj = self.adjacent
+        out = list(word)
+        for x in letters:
+            ax = adj[x]
+            end = at = len(out)
+            for pos in range(end - 1, -1, -1):
+                y = out[pos]
+                if y == x:
                     return None
-            last_seen[v] = pos
-        # greedy extraction of the lex-least available letter
-        letters = list(word)
-        sign = 1
-        out = []
-        while letters:
-            best_pos = 0
-            best_val = letters[0]
-            for pos in range(1, len(letters)):
-                v = letters[pos]
-                if v >= best_val:
-                    continue
-                if all(w in adj[v] for w in letters[:pos]):
-                    best_pos, best_val = pos, v
-            if best_pos % 2:
+                if y not in ax:
+                    break
+                if y > x:
+                    at = pos
+            if (end - at) % 2:
                 sign = -sign
-            out.append(best_val)
-            del letters[best_pos]
+            out.insert(at, x)
         return sign, tuple(out)
 
     def is_normal(self, word):
-        nf = self.normalize(word)
-        return nf is not None and nf == (1, tuple(word))
+        return self.normalize(word) == (1, tuple(word))
 
     # -- element constructors ----------------------------------------------
     def zero(self):
@@ -109,13 +103,14 @@ class PCAlgebra:
             if nf is None:
                 continue
             sign, w = nf
-            c = c if sign == 1 else ring.neg(c)
-            v = ring.add(acc.get(w, ring.zero()), c)
-            if ring.is_zero(v):
-                acc.pop(w, None)
-            else:
-                acc[w] = v
-        return PCElement(self, tuple(sorted(acc.items())))
+            acc[w] = ring.add(acc.get(w, ring.zero()),
+                              c if sign == 1 else ring.neg(c))
+        return self._collect(acc)
+
+    def _collect(self, acc):
+        """Element from a {normal word: coefficient} dict, zero sums dropped."""
+        return PCElement(self, tuple(sorted(
+            (w, c) for w, c in acc.items() if not self.ring.is_zero(c))))
 
     def __eq__(self, other):
         return (isinstance(other, PCAlgebra)
@@ -157,12 +152,8 @@ class PCElement:
         ring = self.algebra.ring
         acc = dict(self.terms)
         for w, c in other.terms:
-            v = ring.add(acc.get(w, ring.zero()), c)
-            if ring.is_zero(v):
-                acc.pop(w, None)
-            else:
-                acc[w] = v
-        return PCElement(self.algebra, tuple(sorted(acc.items())))
+            acc[w] = ring.add(acc.get(w, ring.zero()), c)
+        return self.algebra._collect(acc)
 
     def __neg__(self):
         ring = self.algebra.ring
@@ -192,20 +183,17 @@ class PCElement:
         algebra = self.algebra
         ring = algebra.ring
         acc = {}
+        zero = ring.zero()
         for w1, c1 in self.terms:
             for w2, c2 in other.terms:
-                nf = algebra.normalize(w1 + w2)
+                nf = algebra._append(w1, 1, w2)
                 if nf is None:
                     continue
                 sign, w = nf
                 c = ring.mul(c1, c2)
-                c = c if sign == 1 else ring.neg(c)
-                v = ring.add(acc.get(w, ring.zero()), c)
-                if ring.is_zero(v):
-                    acc.pop(w, None)
-                else:
-                    acc[w] = v
-        return PCElement(algebra, tuple(sorted(acc.items())))
+                acc[w] = ring.add(acc.get(w, zero),
+                                  c if sign == 1 else ring.neg(c))
+        return algebra._collect(acc)
 
     def overline(self):
         """(-1)^(1+deg) scaling, defined on homogeneous elements."""
@@ -281,20 +269,29 @@ def evaluate(poly, algebra, assignment=None):
     for word, coeff in poly.terms.items():
         for w, c in value(word).terms:
             acc[w] = ring.add(acc.get(w, zero), ring.mul(coeff, c))
-    return PCElement(algebra, tuple(sorted(
-        (w, c) for w, c in acc.items() if not ring.is_zero(c))))
+    prefixes.clear()  # value() refers to itself: free now, not at next GC
+    return algebra._collect(acc)
 
 
 def commutator_value(algebra, prefix, i):
-    """The value of c(prefix, u_i) in k[K]^!, computed directly (memoized)."""
+    """The value of c(prefix, u_i) in k[K]^!, memoized per algebra.
+
+    The fold of ``freealg.nested_commutator``, bracketed in the algebra:
+    with a = min(I) and y = c(I - a, u_i) (memoized, of degree |I|),
+    c(I, u_i) = [u_a, y] = u_a y - (-1)^|I| y u_a.
+    """
     key = (frozenset(prefix), i)
     cached = algebra._cvalue_cache.get(key)
     if cached is not None:
         return cached
-    from .freealg import FreePolynomial, atom_u, nested_commutator
-    poly = nested_commutator(
-        prefix, FreePolynomial.generator(atom_u(i), algebra.ring))
-    value = evaluate(poly, algebra)
+    if key[0]:
+        a = min(key[0])
+        inner = commutator_value(algebra, key[0] - {a}, i)
+        u_a = algebra.generator(a)
+        left, right = u_a * inner, inner * u_a
+        value = left - right if len(key[0]) % 2 == 0 else left + right
+    else:
+        value = algebra.generator(i)
     algebra._cvalue_cache[key] = value
     return value
 

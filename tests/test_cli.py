@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from looppres.cli import main
+from looppres.cli import load_complex, main
+from looppres.exactlin import ZZ
+from looppres.presentation import build_presentation, presentation_to_dict
 
 
 def write(tmp_path, name, payload):
@@ -112,6 +114,17 @@ def test_presentation_json_roundtrip(pentagon_file, capsys):
     assert len(data["generators"]) == 10
     # idempotent rendering: dumping the parsed object reproduces the text
     assert json.dumps(data, indent=2, sort_keys=True) == out.strip()
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_presentation_json_matches_dumps(tmp_path, capsys, m):
+    # streamed JSON is byte for byte the one-shot indented dump
+    path = write(tmp_path, "gon%d.json" % m,
+                 {"m": m, "facets": [[i, i % m + 1] for i in range(1, m + 1)]})
+    assert main(["presentation", path, "--json"]) == 0
+    pres = build_presentation(load_complex(path), ZZ, "multi")
+    assert capsys.readouterr().out == json.dumps(
+        presentation_to_dict(pres), indent=2, sort_keys=True) + "\n"
 
 
 def test_homotopy_square(square_file, capsys):

@@ -6,13 +6,21 @@ import pytest
 
 from looppres.errors import AlgebraMismatch, NotFlag, UnboundSymbol
 from looppres.exactlin import GF, QQ, ZZ
-from looppres.freealg import FreePolynomial, atom_u, gptw_symbol, graded_commutator
+from looppres.freealg import (
+    FreePolynomial,
+    atom_u,
+    gptw_symbol,
+    graded_commutator,
+    nested_commutator,
+)
 from looppres.pcalg import PCAlgebra, commutator_value, evaluate, graded_dimensions
 from looppres.simplicial import (
+    all_subsets,
     clique_complex,
     cycle_complex,
     disjoint_points,
     graph_complex,
+    octahedron,
     rp2_minimal,
     simplex,
 )
@@ -99,6 +107,68 @@ def test_normalize_against_brute_force():
         else:
             least = min(cls)
             assert nf == (cls[least], least), (word, sorted(edges))
+
+
+def random_algebra(rng, max_m, ring=ZZ):
+    m = rng.randint(2, max_m)
+    p = rng.random()
+    edges = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)
+             if rng.random() < p]
+    return algebra_with_edges(m, edges, ring)
+
+
+def test_normalize_against_brute_force_long_words():
+    # letter-by-letter insertion on up to 8 letters and words up to length 9
+    rng = random.Random(3)
+    for _ in range(1000):
+        alg = random_algebra(rng, 8)
+        word = tuple(rng.randint(1, alg.m) for _ in range(rng.randint(0, 9)))
+        zero, cls = signed_trace_class(alg.adjacent, word)
+        nf = alg.normalize(word)
+        if zero:
+            assert nf is None, (word, alg.adjacent)
+        else:
+            least = min(cls)
+            assert nf == (cls[least], least), (word, alg.adjacent)
+
+
+def test_mul_of_normal_words_matches_normalize():
+    rng = random.Random(4)
+    for _ in range(300):
+        alg = random_algebra(rng, 8)
+        normal = []
+        while len(normal) < 2:
+            nf = alg.normalize(tuple(rng.randint(1, alg.m)
+                                     for _ in range(rng.randint(0, 5))))
+            if nf is not None:
+                normal.append(nf[1])
+        w1, w2 = normal
+        product = alg.element({w1: 1}) * alg.element({w2: 1})
+        nf = alg.normalize(w1 + w2)
+        if nf is None:
+            assert product.is_zero(), (w1, w2, alg.adjacent)
+        else:
+            assert product.terms == ((nf[1], nf[0]),), (w1, w2, alg.adjacent)
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(2), GF(3)])
+def test_commutator_value_matches_free_expansion(ring):
+    rng = random.Random(5)
+    complexes = [cycle_complex(5), cycle_complex(6), octahedron()]
+    for _ in range(2):
+        m = 7
+        edges = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)
+                 if rng.random() < 0.5]
+        complexes.append(clique_complex(m, edges))
+    for k in complexes:
+        alg = PCAlgebra(k, ring)
+        for j_set in all_subsets(k.m):
+            for i in j_set:
+                prefix = j_set - {i}
+                expanded = nested_commutator(
+                    prefix, FreePolynomial.generator(atom_u(i), ring))
+                assert commutator_value(alg, prefix, i) == \
+                    evaluate(expanded, alg), (sorted(j_set), i)
 
 
 def test_multiplication():
