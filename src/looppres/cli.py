@@ -2,7 +2,7 @@
 
     looppres <analyze|presentation|homotopy|verify|hilbert> <file>
              [--ring Z|Q|F<p>] [--grading multi|z] [--trunc N] [--json]
-             [--skeleton-clique] [--jobs K]
+             [--skeleton-clique]
 
 Input files are JSON objects {"m": int, "facets": [[1-indexed vertices]]};
 "m" may be omitted (inferred as the largest vertex).  Exit codes: 0 success,
@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import LoopPresError
 from .exactlin import parse_ring
@@ -68,8 +67,6 @@ def build_parser():
     p.add_argument("--skeleton-clique", action="store_true",
                    help="replace a non-flag K by the clique complex of its "
                         "1-skeleton instead of exiting with code 3")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads for per-subset scans")
     return p
 
 
@@ -87,16 +84,6 @@ def emit(payload, as_json):
             print(line)
 
 
-def _scan_subsets(k, ring, jobs, worker):
-    subsets = [j for j in all_subsets(k.m) if j]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(worker, subsets))
-    else:
-        rows = [worker(j) for j in subsets]
-    return [(j, row) for j, row in zip(subsets, rows) if row is not None]
-
-
 def cmd_analyze(k, args, ring, flag_ok, witness):
     f, h, d = f_h_vectors(k)
     payload = {
@@ -109,17 +96,15 @@ def cmd_analyze(k, args, ring, flag_ok, witness):
         "subsets": [],
         "lines": [],
     }
-
-    def worker(j):
+    for j in all_subsets(k.m):
+        if not j:
+            continue
         b0 = reduced_betti0(k, j)
         h1, _ = reduced_homology(k, j, ring, degree=2)
-        if b0 == 0 and h1.is_zero():
-            return None
-        return {"J": sorted(j), "b0": b0, "h1_rank": h1.rank,
-                "h1_torsion": [str(t) for t in h1.torsion]}
-
-    for j, row in _scan_subsets(k, ring, args.jobs, worker):
-        payload["subsets"].append(row)
+        if b0 or not h1.is_zero():
+            payload["subsets"].append(
+                {"J": sorted(j), "b0": b0, "h1_rank": h1.rank,
+                 "h1_torsion": [str(t) for t in h1.torsion]})
     lines = [
         "flag: %s" % ("true" if flag_ok else "false"),
         "m = %d, f = %s, h = %s" % (k.m, tuple(f), tuple(h)),
@@ -205,10 +190,10 @@ def cmd_hilbert(k, args, ring):
 
 def cmd_verify(k, args, ring):
     pres = build_presentation(k, ring, args.grading)
-    report = verify_presentation(k, pres, ring)
+    report = verify_presentation(k, pres)
     checks = list(report.checks)
 
-    def tor_worker(j):
+    def tor_agrees(j):
         for n in range(0, len(j) + 2):
             a = koszul_homology(k, j, ring, degree=n)
             b, _ = reduced_homology(k, j, ring, degree=n)
@@ -216,11 +201,10 @@ def cmd_verify(k, args, ring):
                 return False
         return True
 
-    tor_rows = _scan_subsets(k, ring, args.jobs, tor_worker)
-    tor_ok = all(ok for _, ok in tor_rows)
+    tor_rows = [tor_agrees(j) for j in all_subsets(k.m) if j]
+    tor_ok = all(tor_rows)
     checks.append(("Tor strand cross-check", tor_ok,
-                   "%d/%d subsets agree" % (sum(1 for _, ok in tor_rows if ok),
-                                            len(tor_rows))))
+                   "%d/%d subsets agree" % (sum(tor_rows), len(tor_rows))))
 
     alg = pc_algebra(k, ring)
     cycles_total = cycles_ok = 0

@@ -168,10 +168,6 @@ class ExactMatrix:
                 for row in data]
         return cls(rows, cols, conv, ring)
 
-    def copy(self):
-        return ExactMatrix(self.rows, self.cols,
-                           [row[:] for row in self.data], self.ring)
-
     def __getitem__(self, ij):
         return self.data[ij[0]][ij[1]]
 

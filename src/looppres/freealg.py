@@ -18,7 +18,7 @@ Sign conventions (total degree drives all Koszul signs):
 * theta(A, B) = #{(a, b) in A x B : a > b}
 """
 
-from itertools import combinations
+from itertools import compress, product
 
 from .errors import NotHomogeneous, PreconditionViolated, RingMismatch
 from .exactlin import ZZ
@@ -224,9 +224,6 @@ class FreePolynomial:
             raise NotHomogeneous("mixed total degrees %s" % sorted(degs))
         return degs.pop() if degs else None
 
-    def is_homogeneous(self):
-        return len({word_total_degree(w) for w in self.terms}) <= 1
-
     def multidegree(self):
         """Common multidegree if multihomogeneous, else NotHomogeneous."""
         degs = {word_multidegree(w) for w in self.terms}
@@ -337,14 +334,34 @@ def koszul_theta(a_set, b_set):
     return sum(1 for a in a_set for b in b_set if a > b)
 
 
-def _partitions(iterable):
-    """All ordered two-block partitions (A, B) of a set, as frozensets."""
-    items = sorted(iterable)
+def ordered_splits(items, bounds):
+    """Ordered partitions of a vertex set into len(bounds) labelled blocks.
+
+    Yields tuples of frozensets, one per bound.  Block t must be nonempty
+    with max > bounds[t]; a bound of None leaves block t free (possibly
+    empty).  Labellings run like numbers whose lowest digit is the smallest
+    vertex, so for two blocks the first block runs through the bitmasks
+    0, 1, 2, ... (bit t for the t-th smallest vertex) and the second block
+    is the rest.
+    """
+    items = sorted(items, reverse=True)
+    last = len(bounds) - 1
     full = frozenset(items)
-    for r in range(len(items) + 1):
-        for combo in combinations(items, r):
-            a = frozenset(combo)
-            yield a, full - a
+    for labels in product(range(last + 1), repeat=len(items)):
+        blocks = []
+        rest = full
+        for t, bound in enumerate(bounds):
+            if t == last:
+                block = rest
+            else:
+                block = frozenset(compress(items,
+                                           map((last - t).__eq__, labels)))
+                rest = rest - block
+            if bound is not None and (not block or max(block) <= bound):
+                break
+            blocks.append(block)
+        else:
+            yield tuple(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +377,7 @@ def expand_uI_x(i_set, x):
     if dx is None:
         return FreePolynomial.zero(x.ring)
     out = {}
-    for a, b in _partitions(i_set):
+    for a, b in ordered_splits(i_set, (None, None)):
         sign = (koszul_theta(a, b) + dx * len(b)) % 2
         term = nested_commutator(a, x) * u_word(b, x.ring)
         accumulate(out, term, -1 if sign else 1)
@@ -377,9 +394,7 @@ def expand_uI_uj(i_set, j, ring=ZZ):
     i_set = frozenset(i_set)
     uj = FreePolynomial.generator(atom_u(j), ring)
     out = {}
-    for a, b in _partitions(i_set):
-        if not a or max(a) <= j:
-            continue
+    for a, b in ordered_splits(i_set, (j, None)):
         sign = (koszul_theta(a, b) + len(b)) % 2
         term = nested_commutator(a, uj) * u_word(b, ring)
         accumulate(out, term, -1 if sign else 1)
@@ -401,7 +416,7 @@ def expand_c_of_bracket(i_set, x, y):
     if dx is None:
         return FreePolynomial.zero(x.ring)
     out = {}
-    for a, b in _partitions(i_set):
+    for a, b in ordered_splits(i_set, (None, None)):
         sign = (koszul_theta(a, b) + dx * len(b)) % 2
         term = graded_commutator(nested_commutator(a, x),
                                  nested_commutator(b, y))
@@ -432,11 +447,7 @@ def rearrangement_identity_rhs(j_set, i, j, ring=ZZ):
     out = {}
     accumulate(out, first, -1 if len(above_j) % 2 else 1)
     accumulate(out, second, 1 if above_i % 2 else -1)
-    for a, b in _partitions(j_set - {i, j}):
-        if not a or max(a) <= i:
-            continue
-        if not b or max(b) <= j:
-            continue
+    for a, b in ordered_splits(j_set - {i, j}, (i, j)):
         sign = (koszul_theta(a, b) + len(b)) % 2
         term = graded_commutator(nested_commutator(a, ui),
                                  nested_commutator(b, uj))

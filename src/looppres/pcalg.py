@@ -76,9 +76,6 @@ class PCAlgebra:
             out.insert(at, x)
         return sign, tuple(out)
 
-    def is_normal(self, word):
-        return self.normalize(word) == (1, tuple(word))
-
     # -- element constructors ----------------------------------------------
     def zero(self):
         return PCElement(self, ())

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .errors import NotACycle, PreconditionViolated
 from .exactlin import ExactMatrix, ZZ, cokernel_invariants
@@ -37,13 +36,13 @@ from .freealg import (
     gptw_symbol,
     graded_commutator,
     koszul_theta,
+    ordered_splits,
     word_sort_key,
 )
 from .pcalg import PCAlgebra, commutator_value, evaluate
 from .simplicial import (
     SimplicialCycle,
     all_subsets,
-    bfs_distances,
     is_cycle,
     path_components,
     reduced_betti0,
@@ -53,9 +52,14 @@ from .simplicial import (
 )
 
 
-@lru_cache(maxsize=None)
 def pc_algebra(k, ring=ZZ):
-    return PCAlgebra(k, ring)
+    """The one k[K]^! over ``ring``, kept on the complex beside its rewrite
+    memo, so it lives exactly as long as the complex; setdefault hands
+    racing threads the same algebra."""
+    algebra = k._algebras.get(ring)
+    if algebra is None:
+        algebra = k._algebras.setdefault(ring, PCAlgebra(k, ring))
+    return algebra
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +148,7 @@ def _rewrite_uncached(k, j_set, i):
         return rewrite_chat(k, j_set, max(j_set - {i}))
     comp = next(c for c in path_components(k, j_set) if i in c)
     if top in comp:
-        dist = bfs_distances(k, j_set, top)
-        if dist[i] == 1:
+        if top in k.adjacency[i]:
             return FreePolynomial.zero(ZZ)
         neighbor = _first_edge_of_shortest_path(k, j_set, i, top)
         return _solve_rearrangement(k, j_set, i, neighbor)
@@ -199,20 +202,13 @@ def _solve_rearrangement(k, j_set, i, neighbor):
     if above_b == 0:
         raise AssertionError("J_{>b} empty for %s, %d, %d"
                              % (sorted(j_set), a, b))
-    rest = sorted(j_set - {a, b})
     lead = 1 if (above_a + above_b) % 2 == 0 else -1
     if i == a:
         other, tail = b, (-1 if above_b % 2 == 0 else 1)
     else:
         other, tail = a, (1 if above_a % 2 == 0 else -1)
     out = {}
-    for mask in range(1 << len(rest)):
-        a_set = frozenset(rest[t] for t in range(len(rest)) if mask >> t & 1)
-        if not a_set or max(a_set) <= a:
-            continue
-        b_set = frozenset(rest) - a_set
-        if not b_set or max(b_set) <= b:
-            continue
+    for a_set, b_set in ordered_splits(j_set - {a, b}, (a, b)):
         sign = (koszul_theta(a_set, b_set) + len(b_set)) % 2
         term = graded_commutator(rewrite_chat(k, a_set | {a}, a),
                                  rewrite_chat(k, b_set | {b}, b))
@@ -254,10 +250,6 @@ class Relation:
     def j_set(self):
         return self.parts[0][0] if len(self.parts) == 1 else None
 
-    @property
-    def source_cycle(self):
-        return self.parts[0][1] if len(self.parts) == 1 else None
-
     def alive_terms_by_edge(self):
         out = {}
         for t in self.terms:
@@ -283,15 +275,7 @@ def _relation_data(k, ring, kappa):
         eps = (-1) ** (sum(1 for v in j_set if v < i)
                        + sum(1 for v in j_set if v < j))
         base = ring.mul(lam, ring.from_int(eps))
-        rest = sorted(j_set - face)
-        for mask in range(1 << len(rest)):
-            a_set = frozenset(rest[t] for t in range(len(rest))
-                              if mask >> t & 1)
-            if not a_set or max(a_set) <= i:
-                continue
-            b_set = frozenset(rest) - a_set
-            if not b_set or max(b_set) <= j:
-                continue
+        for a_set, b_set in ordered_splits(j_set - face, (i, j)):
             sign = (koszul_theta(a_set, b_set) + len(a_set)) % 2
             coeff = base if sign == 0 else ring.neg(base)
             alive = (i not in k.adjacency[max(a_set)]
@@ -364,9 +348,6 @@ class PresentationCertificate:
 
     def total_generators(self):
         return sum(self.gen_count_by_degree.values())
-
-    def total_relations(self):
-        return sum(self.rel_count_by_degree.values())
 
 
 @dataclass
@@ -501,7 +482,7 @@ class VerificationReport:
                          for name, ok, detail in self.checks)
 
 
-def verify_presentation(k, presentation, ring=None):
+def verify_presentation(k, presentation):
     """Oracle check of a presentation against k[K]^!.
 
     (1) generator values are the nested commutators they claim to be;
@@ -510,7 +491,7 @@ def verify_presentation(k, presentation, ring=None):
     (4) generator and relation counts match the homology certificate.
     Failures are reported, never raised.
     """
-    ring = ring or presentation.ring
+    ring = presentation.ring
     algebra = pc_algebra(k, ring)
     assignment = gptw_assignment(k, ring)
     checks = []

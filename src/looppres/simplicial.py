@@ -66,6 +66,7 @@ class SimplicialComplex:
             adj[b].add(a)
         self.adjacency = {i: frozenset(s) for i, s in adj.items()}
         self._rewrite_memo = {}
+        self._algebras = {}  # ring -> PCAlgebra, see presentation.pc_algebra
         self._flag_cache = None
 
     # -- queries --
@@ -254,24 +255,9 @@ def theta_set(k, j):
     top = max(j)
     out = []
     for comp in path_components(k, j):
-        if top not in comp and comp[0] == min(comp):
+        if top not in comp:
             out.append(comp[0])
     return frozenset(out)
-
-
-def bfs_distances(k, j, source):
-    """Graph distances within K_J from ``source`` (None where unreachable)."""
-    j = frozenset(j)
-    dist = {v: None for v in j}
-    dist[source] = 0
-    queue = [source]
-    while queue:
-        v = queue.pop(0)
-        for w in sorted(k.adjacency[v]):
-            if w in j and dist[w] is None:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +271,6 @@ class SimplicialCycle:
     j: frozenset
     dimension: int
     terms: tuple  # ((frozenset face, coeff), ...)
-
-    def coefficient_map(self):
-        return {f: c for f, c in self.terms}
 
 
 def boundary_matrix(k, j, n, ring=ZZ):

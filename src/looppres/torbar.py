@@ -22,7 +22,7 @@ from itertools import permutations
 
 from .errors import FaceOutsideJ, NotACycle
 from .exactlin import ExactMatrix, ZZ, homology_with_representatives
-from .freealg import koszul_theta
+from .freealg import koszul_theta, ordered_splits
 from .pcalg import commutator_value
 from .simplicial import faces_within, is_cycle
 
@@ -112,18 +112,13 @@ def dhat(k, i_set, alpha):
     check_basis_element(k, i_set, alpha)
     out = {}
     lead = -1 if len(i_set) % 2 else 1
-    items = sorted(i_set)
     for i in sorted(alpha_support(alpha)):
         smaller = alpha_remove(alpha, i)
         ws = wedge_sign(i_set, i)
         if ws:
             _acc(out, (None, i_set | {i}, smaller), lead * ws)
         # partitions I = A + B with max(A) > i (A nonempty in particular)
-        for mask in range(1, 1 << len(items)):
-            a = frozenset(items[t] for t in range(len(items)) if mask >> t & 1)
-            if max(a) <= i:
-                continue
-            b = i_set - a
+        for a, b in ordered_splits(i_set, (i, None)):
             sign = (koszul_theta(a, b) + len(a)) % 2
             key = ((tuple(sorted(a)), i), b, smaller)
             _acc(out, key, -1 if sign else 1)
@@ -287,22 +282,6 @@ class BarElement:
         return " + ".join(bits)
 
 
-def _ordered_partitions(items, blocks):
-    """All ways to distribute ``items`` into ``blocks`` labeled sets."""
-    items = list(items)
-    if not items:
-        yield tuple(frozenset() for _ in range(blocks))
-        return
-    total = blocks ** len(items)
-    for code in range(total):
-        assign = [[] for _ in range(blocks)]
-        c = code
-        for x in items:
-            assign[c % blocks].append(x)
-            c //= blocks
-        yield tuple(frozenset(part) for part in assign)
-
-
 def bar_cycle(algebra, kappa):
     """The explicit bar-construction cycle attached to a simplicial cycle.
 
@@ -327,9 +306,7 @@ def bar_cycle(algebra, kappa):
         eps = epsilon_sign(face, j_set)
         base = lam if eps == 1 else ring.neg(lam)
         for order in permutations(sorted(face)):
-            for blocks in _ordered_partitions(rest, n):
-                if any(not b or max(b) <= i for b, i in zip(blocks, order)):
-                    continue
+            for blocks in ordered_splits(rest, order):
                 theta_total = sum(
                     koszul_theta(blocks[t1], blocks[t2])
                     for t1 in range(n) for t2 in range(t1 + 1, n))
@@ -361,12 +338,7 @@ def bar_cycle_pairform(algebra, kappa):
         i, j = sorted(face)
         eps = epsilon_sign(face, j_set)
         base = lam if eps == 1 else ring.neg(lam)
-        rest = sorted(j_set - face)
-        for mask in range(1 << len(rest)):
-            a = frozenset(rest[t] for t in range(len(rest)) if mask >> t & 1)
-            b = frozenset(rest) - a
-            if not a or max(a) <= i or not b or max(b) <= j:
-                continue
+        for a, b in ordered_splits(j_set - face, (i, j)):
             ca = commutator_value(algebra, a, i)
             cb = commutator_value(algebra, b, j)
             c1 = base if koszul_theta(a, b) % 2 == 0 else ring.neg(base)

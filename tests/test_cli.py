@@ -156,12 +156,6 @@ def test_verify_hexagon(tmp_path, capsys):
     assert "verification passed" in out
 
 
-def test_verify_with_jobs(square_file, capsys):
-    assert main(["verify", square_file, "--jobs", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "verification passed" in out
-
-
 def test_max_m_env(monkeypatch, pentagon_file, capsys):
     monkeypatch.setenv("LOOPPRES_MAX_M", "4")
     assert main(["analyze", pentagon_file]) == 2  # m=5 over the cap

@@ -1,6 +1,6 @@
 import pickle
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -18,6 +18,7 @@ from looppres.freealg import (
     graded_commutator,
     koszul_theta,
     nested_commutator,
+    ordered_splits,
     overline,
     rearrangement_identity_lhs,
     rearrangement_identity_rhs,
@@ -265,3 +266,53 @@ def test_cancellation_over_f2_stores_no_zero():
     assert acc == p.terms
     accumulate(acc, p, -1)
     assert acc == {}
+
+
+def brute_force_splits(items, bounds):
+    """Every labelling of the items by block index, filtered by the bounds."""
+    items = sorted(items)
+    out = set()
+    for labels in product(range(len(bounds)), repeat=len(items)):
+        blocks = tuple(frozenset(x for x, t in zip(items, labels) if t == b)
+                       for b in range(len(bounds)))
+        if all(bound is None or (block and max(block) > bound)
+               for block, bound in zip(blocks, bounds)):
+            out.add(blocks)
+    return out
+
+
+def test_ordered_splits_against_brute_force():
+    rng = random.Random(7)
+    choices = [None, 0, 1, 2, 3, 4, 5, 6]
+    cases = [((), ()), ((), (None,)), ((), (None, None)), ((), (2, None)),
+             ({1, 2}, ()), ({3}, (None,)), ({3}, (3,)), ({3}, (2,))]
+    for _ in range(150):
+        items = random_subset(rng)
+        bounds = tuple(rng.choice(choices)
+                       for _ in range(rng.randint(1, 3)))
+        cases.append((items, bounds))
+    for items, bounds in cases:
+        got = list(ordered_splits(items, bounds))
+        assert len(got) == len(set(got)), (items, bounds)
+        assert set(got) == brute_force_splits(items, bounds), \
+            (items, bounds)
+        for blocks in got:
+            assert len(blocks) == len(bounds)
+            assert all(isinstance(b, frozenset) for b in blocks)
+
+
+def test_ordered_splits_two_blocks_in_bitmask_order():
+    # relation terms, and so the rendered relation text, follow this order
+    rng = random.Random(8)
+    for _ in range(60):
+        items = random_subset(rng, m=7)
+        bounds = (rng.choice([None, 0, 2, 4]), rng.choice([None, 0, 3, 5]))
+        rest = sorted(items)
+        expected = []
+        for mask in range(1 << len(rest)):
+            a = frozenset(rest[t] for t in range(len(rest)) if mask >> t & 1)
+            b = frozenset(rest) - a
+            if all(bound is None or (block and max(block) > bound)
+                   for block, bound in zip((a, b), bounds)):
+                expected.append((a, b))
+        assert list(ordered_splits(items, bounds)) == expected

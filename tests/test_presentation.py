@@ -1,6 +1,8 @@
+import gc
 import random
 import sys
 import threading
+import weakref
 
 import pytest
 
@@ -357,3 +359,41 @@ def test_concurrent_builds_of_one_complex():
         assert not errors, errors
         assert results[0] is not None
         assert all(r == results[0] for r in results)
+
+
+def test_dropped_complex_is_collected():
+    # the algebra and the rewrite memo live on the complex, so nothing
+    # process-wide keeps a complex alive once its caller lets go of it
+    k = cycle_complex(6)
+    for ring in (ZZ, GF(3)):
+        assert pc_algebra(k, ring) is pc_algebra(k, ring)
+    assert pc_algebra(k, ZZ) is not pc_algebra(k, GF(3))
+    report = verify_presentation(k, build_presentation(k, ZZ))
+    assert report.ok
+    ref = weakref.ref(k)
+    del k, report
+    gc.collect()
+    assert ref() is None
+
+
+def test_racing_threads_share_one_algebra():
+    k = cycle_complex(5)
+    barrier = threading.Barrier(8)
+    got = [None] * 8
+
+    def fetch(t):
+        barrier.wait(timeout=60)
+        got[t] = pc_algebra(k, GF(5))  # equal rings, distinct objects
+
+    threads = [threading.Thread(target=fetch, args=(t,)) for t in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert got[0] is not None and all(a is got[0] for a in got)
