@@ -1,10 +1,11 @@
 """Walkthrough: graded dimensions of k[K]^! versus closed-form series.
 
 The partially commutative algebra k[K]^! has a basis of lex-least trace
-words; counting them degree by degree must reproduce the Koszul-dual series
-(1+t)^d / h_K(-t), and dividing by (1+t)^m gives the Poincare series of the
-loop homology of the moment-angle complex.  Both comparisons are exact
-integer arithmetic.
+words.  graded_dimensions counts them degree by degree on the automaton of
+normal words, whose state is the set of letters that may still be appended;
+the counts must reproduce the Koszul-dual series (1+t)^d / h_K(-t), and
+dividing by (1+t)^m gives the Poincare series of the loop homology of the
+moment-angle complex.  Both comparisons are exact integer arithmetic.
 """
 
 from looppres import PCAlgebra, cycle_complex, disjoint_points, graded_dimensions, simplex
@@ -24,7 +25,7 @@ for name, k in [
     predicted = poly_mul(loop, one_plus_t_power(k.m), N)
     predicted += [0] * (N + 1 - len(predicted))
     print("== %s" % name)
-    print("   enumerated dims of k[K]^! :", dims)
+    print("   counted dims of k[K]^!    :", dims)
     print("   (1+t)^d / h_K(-t)         :", predicted)
     print("   loop homology series 1/P  :", loop)
     assert dims == predicted

@@ -69,6 +69,7 @@ from .simplicial import (
     path_complex,
     reduced_euler_polynomial,
     reduced_homology,
+    reduced_homology_invariants,
     rp2_minimal,
     simplex,
     theta_set,

@@ -40,6 +40,7 @@ from .simplicial import (
     is_flag,
     reduced_betti0,
     reduced_homology,
+    reduced_homology_invariants,
 )
 from .torbar import bar_cycle, koszul_homology, verify_bar_cycle
 
@@ -100,7 +101,7 @@ def cmd_analyze(k, args, ring, flag_ok, witness):
         if not j:
             continue
         b0 = reduced_betti0(k, j)
-        h1, _ = reduced_homology(k, j, ring, degree=2)
+        h1 = reduced_homology_invariants(k, j, ring, degree=2)
         if b0 or not h1.is_zero():
             payload["subsets"].append(
                 {"J": sorted(j), "b0": b0, "h1_rank": h1.rank,
@@ -196,7 +197,7 @@ def cmd_verify(k, args, ring):
     def tor_agrees(j):
         for n in range(0, len(j) + 2):
             a = koszul_homology(k, j, ring, degree=n)
-            b, _ = reduced_homology(k, j, ring, degree=n)
+            b = reduced_homology_invariants(k, j, ring, degree=n)
             if a.rank != b.rank or a.torsion != b.torsion:
                 return False
         return True

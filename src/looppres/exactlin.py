@@ -361,6 +361,12 @@ def _snf_with_inverses(m):
     return U, D, V, Uinv, Vinv
 
 
+def invariant_factors(m):
+    """Nonzero Smith diagonal of an integer matrix, d_1 | d_2 | ..."""
+    _, d, _, _, _ = _snf_with_inverses(m)
+    return [x for x in d.diagonal() if x]
+
+
 def _field_diagonalize(m):
     """Gauss-Jordan diagonalization with transforms over a field.
 

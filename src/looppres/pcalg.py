@@ -17,6 +17,9 @@ not adjacent to x ends the scan; x goes in just before the leftmost scanned
 letter larger than x (at the end if there is none), and the sign flips once
 for each letter x jumps.
 
+Graded dimensions count the paths of the automaton of normal words, whose
+state is the set of letters that may still be appended to the word.
+
 Elements are immutable and hashable so they can serve as letters of bar
 construction tensors downstream.
 """
@@ -300,36 +303,27 @@ def commutator_value(algebra, prefix, i):
 def graded_dimensions(algebra, max_degree):
     """Number of normal-form basis words in each degree 0..max_degree.
 
-    Depth-first extension of normal words: appending v to a normal word w
-    keeps it normal iff scanning backwards over the K-adjacent suffix never
-    meets a letter equal to v (zero) or larger than v (not lex-least).
+    Counted on the automaton state, the bitmask of appendable letters: after
+    x, v is appendable iff v != x and either v is not K-adjacent to x, or
+    x < v and v was appendable (``_append``'s backward scan passes x).
     """
     adj = algebra.adjacent
-    m = algebra.m
-    counts = [0] * (max_degree + 1)
-    counts[0] = 1
-
-    def extends(word, v):
-        av = adj[v]
-        for w in reversed(word):
-            if w == v:
-                return False
-            if w not in av:
-                return True
-            if w > v:
-                return False
-        return True
-
-    def walk(word):
-        depth = len(word)
-        counts[depth] += 1
-        if depth == max_degree:
-            return
-        for v in range(1, m + 1):
-            if extends(word, v):
-                walk(word + (v,))
-
-    if max_degree > 0:
-        for v in range(1, m + 1):
-            walk((v,))
+    letters = range(1, algebra.m + 1)
+    full = sum(1 << v for v in letters)
+    step = {}  # x -> (letters freed by x, letters kept if already allowed)
+    for x in letters:
+        near = sum(1 << v for v in adj[x])
+        step[x] = (full & ~near & ~(1 << x), near & ~((2 << x) - 1))
+    counts = [1] + [0] * max_degree
+    states = {full: 1}
+    for degree in range(1, max_degree + 1):
+        nxt = {}
+        for state, n in states.items():
+            for x in letters:
+                if state >> x & 1:
+                    free, kept = step[x]
+                    s = free | (state & kept)
+                    nxt[s] = nxt.get(s, 0) + n
+        states = nxt
+        counts[degree] = sum(nxt.values())
     return counts

@@ -47,6 +47,7 @@ from .simplicial import (
     path_components,
     reduced_betti0,
     reduced_homology,
+    reduced_homology_invariants,
     require_flag,
     theta_set,
 )
@@ -549,8 +550,7 @@ def is_free_loop_algebra(k, ring=ZZ):
     for j_set in all_subsets(k.m):
         if len(j_set) < 3:
             continue
-        inv, _ = reduced_homology(k, j_set, ring, degree=2)
-        if not inv.is_zero():
+        if not reduced_homology_invariants(k, j_set, ring, degree=2).is_zero():
             return False
     return True
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from looppres.cli import load_complex, main
 from looppres.exactlin import ZZ
 from looppres.presentation import build_presentation, presentation_to_dict
+from looppres.simplicial import rp2_minimal
 
 
 def write(tmp_path, name, payload):
@@ -163,3 +165,31 @@ def test_max_m_env(monkeypatch, pentagon_file, capsys):
     monkeypatch.setenv("LOOPPRES_MAX_M", "junk")
     assert main(["analyze", pentagon_file]) == 2
     capsys.readouterr()
+
+
+# sha256 of `analyze rp2.json --ring R --json` stdout, recorded from the
+# cycle-representative homology scan that the invariant-factor scan replaced
+RP2_ANALYZE_SHA256 = {
+    "Z": "24febc767a354dc0f9c1cae6120a2b6c6c32a287246cb3860b99f7c9c69ed206",
+    "F2": "76a74ee3d4c1c306ade04636d154178c97a4ecf03b4e6db01cf0994db5aa520e",
+    "Q": "c8592b1393743238a2f324280c13f621fd38687f76ebf692ce583342a58e91f9",
+    "F3": "9379ab6b2b6936d4510ff681ca295ef86946978ce08371e669d82b61a6ed6607",
+}
+
+
+@pytest.mark.parametrize("ring", sorted(RP2_ANALYZE_SHA256))
+def test_analyze_rp2_torsion(tmp_path, capsys, ring):
+    # H_1(RP^2) = Z/2: torsion over Z, a free class over F2, nothing over Q, F3
+    path = write(tmp_path, "rp2.json", rp2_minimal().to_json_dict())
+    assert main(["analyze", path, "--ring", ring, "--json"]) == 3  # not flag
+    out = capsys.readouterr().out
+    rows = {tuple(r["J"]): r for r in json.loads(out)["subsets"]}
+    full = tuple(range(1, 7))
+    if ring == "Z":
+        assert rows[full]["h1_rank"] == 0 and rows[full]["h1_torsion"] == ["2"]
+    elif ring == "F2":
+        assert rows[full]["h1_rank"] == 1 and rows[full]["h1_torsion"] == []
+    else:
+        assert full not in rows
+    assert all(r["h1_torsion"] == [] for j, r in rows.items() if j != full)
+    assert hashlib.sha256(out.encode()).hexdigest() == RP2_ANALYZE_SHA256[ring]

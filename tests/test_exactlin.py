@@ -13,6 +13,7 @@ from looppres.exactlin import (
     cokernel_invariants,
     det_sign_unimodular,
     homology_with_representatives,
+    invariant_factors,
     kernel_basis,
     module_gen_rel,
     parse_ring,
@@ -256,3 +257,15 @@ def test_parse_ring():
     assert parse_ring("F5") == GF(5)
     with pytest.raises(ValueError):
         parse_ring("F4")
+
+
+def test_invariant_factors_match_snf_diagonal():
+    rng = random.Random(11)
+    for _ in range(200):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+        m = M([[rng.choice([0, 0, 1, -1, 2, 3, -4, 6]) for _ in range(cols)]
+               for _ in range(rows)]) if rows else ExactMatrix.zeros(0, cols)
+        _, d, _ = smith_normal_form(m)
+        assert invariant_factors(m) == [x for x in d.diagonal() if x]
+    assert invariant_factors(M([[2, 0], [0, 3]])) == [1, 6]
+    assert invariant_factors(ExactMatrix.zeros(3, 2)) == []

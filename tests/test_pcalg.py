@@ -1,5 +1,7 @@
 import random
+import time
 from collections import deque
+from itertools import product
 from math import comb
 
 import pytest
@@ -331,6 +333,28 @@ def test_hand_counted_dimensions():
     # square degree 2: 4 edge words + 4 diagonal words
     alg = PCAlgebra(cycle_complex(4))
     assert graded_dimensions(alg, 2) == [1, 4, 8]
+
+
+def test_graded_dimensions_count_normal_words():
+    # brute force: every word of length <= 5, kept iff it is its own normal form
+    rng = random.Random(41)
+    for _ in range(12):
+        m = rng.randint(2, 5)
+        edges = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)
+                 if rng.random() < 0.5]
+        alg = algebra_with_edges(m, edges)
+        expect = [sum(1 for w in product(range(1, m + 1), repeat=n)
+                      if (alg.normalize(w) or (0, None))[1] == w)
+                  for n in range(6)]
+        assert graded_dimensions(alg, 5) == expect, (m, edges)
+
+
+def test_graded_dimensions_10gon_degree_64():
+    k = cycle_complex(10)
+    start = time.process_time()
+    dims = graded_dimensions(PCAlgebra(k), 64)
+    assert time.process_time() - start < 1.0
+    assert dims == koszul_dual_series(k, 64)
 
 
 def test_extension_check_agrees_with_normalize():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from looppres.errors import EmptySubset
+from looppres.errors import ChainConditionViolated, EmptySubset
 from looppres.exactlin import GF, QQ, ZZ, ExactMatrix, module_gen_rel
 from looppres.simplicial import (
     SimplicialComplex,
@@ -23,6 +23,7 @@ from looppres.simplicial import (
     reduced_betti0,
     reduced_euler_polynomial,
     reduced_homology,
+    reduced_homology_invariants,
     rp2_minimal,
     simplex,
     theta_set,
@@ -174,6 +175,34 @@ def test_universal_coefficients_consistency():
                 tor_at_p = sum(1 for t in invz.torsion if t % p == 0)
                 assert invp.rank == invz.rank + tor_at_p + prev_tor
                 prev_tor = tor_at_p
+
+
+def test_homology_invariants_match_cycle_homology():
+    rng = random.Random(29)
+    complexes = [rp2_minimal()]
+    for _ in range(10):
+        m = rng.randint(4, 7)
+        edges = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)
+                 if rng.random() < 0.5]
+        complexes.append(clique_complex(m, edges))
+    for k in complexes:
+        for j in all_subsets(k.m):
+            for ring in (ZZ, QQ, GF(2), GF(3)):
+                for n in range(4):
+                    a, _ = reduced_homology(k, j, ring, degree=n)
+                    b = reduced_homology_invariants(k, j, ring, degree=n)
+                    assert (b.rank, b.torsion, b.generators) == (
+                        a.rank, a.torsion, []), (k, sorted(j), ring, n)
+
+
+def test_homology_invariants_chain_condition_enforced(monkeypatch):
+    import looppres.simplicial as simplicial
+
+    def bad_boundary(k, j, n, ring=ZZ):
+        return ExactMatrix.from_rows([[1]], ZZ)
+    monkeypatch.setattr(simplicial, "boundary_matrix", bad_boundary)
+    with pytest.raises(ChainConditionViolated):
+        reduced_homology_invariants(PENTAGON, {1, 2}, ZZ, degree=1)
 
 
 def test_h1_representatives_generate():
