@@ -2,11 +2,12 @@
 
 Everything here is exact: integer matrices use Python's arbitrary-precision
 ints, rational ones use ``fractions.Fraction``, and Z/p works with reduced
-residues.  The two workhorses are Smith normal form with unimodular
-transforms (over Z) and homology of a two-term complex ``ker d1 / im d2``
-with explicit generator vectors.  Invariant factors follow the usual
-divisibility-chain convention d_1 | d_2 | ... with unit factors dropped, so
-a finitely generated module is recorded as (rank, torsion factors).
+residues.  Homology of a two-term complex ``ker d1 / im d2`` with explicit
+generator vectors rests on two dense cores with transforms: Smith normal
+form over Z and Gauss-Jordan over a field.  ``invariant_factors`` needs only
+the Smith diagonal and builds no transforms.  Invariant factors follow the
+divisibility chain d_1 | d_2 | ... with unit factors dropped, so a finitely
+generated module is recorded as (rank, torsion factors).
 """
 
 from __future__ import annotations
@@ -186,18 +187,18 @@ class ExactMatrix:
             raise ValueError("shape mismatch %dx%d * %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
         ring = self.ring
-        out = ExactMatrix.zeros(self.rows, other.cols, ring)
-        for i in range(self.rows):
-            arow = self.data[i]
-            orow = out.data[i]
-            for k in range(self.cols):
-                a = arow[k]
-                if ring.is_zero(a):
-                    continue
-                brow = other.data[k]
-                for j in range(other.cols):
-                    orow[j] = ring.add(orow[j], ring.mul(a, brow[j]))
-        return out
+        # plain + and * are exact on ints and Fractions; F_p reduces once
+        nonzero = [[(j, b) for j, b in enumerate(r) if b] for r in other.data]
+        data = []
+        for arow in self.data:
+            orow = [ring.zero()] * other.cols
+            for a, brow in zip(arow, nonzero):
+                if a:
+                    for j, b in brow:
+                        orow[j] += a * b
+            data.append([x % ring.p for x in orow] if ring.kind == "Fp"
+                        else orow)
+        return ExactMatrix(self.rows, other.cols, data, ring)
 
     def __mul__(self, other):
         return self.mul(other)
@@ -362,9 +363,46 @@ def _snf_with_inverses(m):
 
 
 def invariant_factors(m):
-    """Nonzero Smith diagonal of an integer matrix, d_1 | d_2 | ..."""
-    _, d, _, _, _ = _snf_with_inverses(m)
-    return [x for x in d.diagonal() if x]
+    """Nonzero Smith diagonal of an integer matrix, d_1 | d_2 | ...
+
+    Builds no transforms.  While some entry is +-1, pivot on one in a
+    shortest column, clear its row from the other columns and drop its row
+    and column with factor 1; the rest, with no unit entry, goes to the
+    dense Smith core.  Smith invariants are unique, so the pivot choice
+    cannot change the result.
+    """
+    if m.ring != ZZ:
+        raise RingMismatch("invariant_factors is for integer matrices")
+    cols = ({i: x for i, x in enumerate(col) if x} for col in zip(*m.data))
+    live = {j: col for j, col in enumerate(cols) if col}
+    units = 0
+    while True:
+        best = None
+        for j, col in live.items():
+            if best is None or len(col) < best[0]:
+                for i, x in col.items():
+                    if x == 1 or x == -1:
+                        best = (len(col), j, i)
+                        break
+        if best is None:
+            break
+        _, pj, pi = best
+        pivot = live.pop(pj)
+        u = pivot.pop(pi)
+        for j, col in [(j, col) for j, col in live.items() if pi in col]:
+            q = col.pop(pi) * u  # col_j -= q * col_pj clears row pi (u*u = 1)
+            for i, x in pivot.items():
+                col[i] = col.get(i, 0) - q * x
+                if not col[i]:
+                    del col[i]
+        units += 1
+    rest = [col for col in live.values() if col]
+    if not rest:
+        return [1] * units
+    rows = sorted({i for col in rest for i in col})
+    data = [[col.get(i, 0) for col in rest] for i in rows]
+    _, d, _, _, _ = _snf_with_inverses(ExactMatrix(len(rows), len(rest), data))
+    return [1] * units + [x for x in d.diagonal() if x]
 
 
 def _field_diagonalize(m):

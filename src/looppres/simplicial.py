@@ -227,7 +227,7 @@ def faces_within(k, j, size):
 
 
 def path_components(k, j):
-    """Components of the 1-skeleton of K_J, BFS visiting small labels first.
+    """Components of the 1-skeleton of K_J.
 
     Returned as sorted tuples, ordered by smallest vertex.
     """
@@ -237,17 +237,12 @@ def path_components(k, j):
     for start in sorted(jset):
         if start in seen:
             continue
-        comp = []
-        queue = [start]
         seen.add(start)
-        while queue:
-            v = queue.pop(0)
-            comp.append(v)
-            for w in sorted(k.adjacency[v]):
-                if w in seen or w not in jset:
-                    continue
-                seen.add(w)
-                queue.append(w)
+        comp = [start]
+        for v in comp:  # the list grows while it is walked: a BFS
+            new = (k.adjacency[v] & jset) - seen
+            seen |= new
+            comp.extend(new)
         comps.append(tuple(sorted(comp)))
     return comps
 
@@ -287,17 +282,13 @@ def boundary_matrix(k, j, n, ring=ZZ):
     ordered by sorted vertex tuple.
     """
     src = faces_within(k, j, n)
-    dst = faces_within(k, j, n - 1)
-    dst_index = {f: i for i, f in enumerate(dst)}
-    mat = ExactMatrix.zeros(len(dst), len(src), ring)
+    dst_index = {f: i for i, f in enumerate(faces_within(k, j, n - 1))}
+    signs = (ring.one(), ring.neg(ring.one()))
+    data = [[ring.zero()] * len(src) for _ in dst_index]
     for col, face in enumerate(src):
-        ordered = sorted(face)
-        for pos, v in enumerate(ordered):
-            sign = -1 if pos % 2 else 1
-            row = dst_index[face - {v}]
-            mat.data[row][col] = ring.add(mat.data[row][col],
-                                          ring.from_int(sign))
-    return mat
+        for pos, v in enumerate(sorted(face)):
+            data[dst_index[face - {v}]][col] = signs[pos % 2]
+    return ExactMatrix(len(dst_index), len(src), data, ring)
 
 
 def chain_boundary(k, cycle, ring=ZZ):

@@ -3,6 +3,7 @@
 import random
 
 from looppres.simplicial import (
+    SimplicialComplex,
     clique_complex,
     cycle_complex,
     disjoint_points,
@@ -27,6 +28,20 @@ def k6_clique():
     # this entry's former name; its clique complex is not RP^2)
     edges = [(i, j) for i in range(1, 7) for j in range(i + 1, 7)]
     return clique_complex(6, edges)
+
+
+def rp2_flag12():
+    """A flag RP^2 on 12 vertices: f-vector (12, 33, 22), H_1 = Z/2.
+
+    Found from the minimal 6-vertex RP^2 by subdividing, while the complex
+    is not flag, an edge chosen by ``random.Random(65).sample(sorted(w), 2)``
+    from the minimal non-face w that ``is_flag`` reports.
+    """
+    return SimplicialComplex(12, [
+        [1, 3, 4], [1, 3, 6], [1, 4, 8], [1, 5, 8], [1, 5, 12], [1, 6, 12],
+        [2, 4, 8], [2, 4, 11], [2, 5, 7], [2, 5, 8], [2, 6, 7], [2, 6, 11],
+        [3, 4, 9], [3, 6, 7], [3, 7, 9], [4, 9, 10], [4, 10, 11], [5, 7, 9],
+        [5, 9, 10], [5, 10, 12], [6, 10, 11], [6, 10, 12]])
 
 
 def named_complexes():

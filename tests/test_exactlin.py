@@ -268,4 +268,62 @@ def test_invariant_factors_match_snf_diagonal():
         _, d, _ = smith_normal_form(m)
         assert invariant_factors(m) == [x for x in d.diagonal() if x]
     assert invariant_factors(M([[2, 0], [0, 3]])) == [1, 6]
-    assert invariant_factors(ExactMatrix.zeros(3, 2)) == []
+    for shape in ((3, 2), (0, 4), (4, 0), (0, 0)):
+        assert invariant_factors(ExactMatrix.zeros(*shape)) == []
+    # sparse +-1 matrices up to 30x30: the unit pivots make fill-in, and
+    # some leave a remainder with no unit entry for the dense core
+    for _ in range(40):
+        rows, cols = rng.randint(1, 30), rng.randint(1, 30)
+        density = rng.uniform(0.05, 0.3)
+        m = M([[rng.choice([1, -1]) if rng.random() < density else 0
+                for _ in range(cols)] for _ in range(rows)])
+        _, d, _ = smith_normal_form(m)
+        assert invariant_factors(m) == [x for x in d.diagonal() if x]
+
+
+def test_invariant_factors_dense_remainder(monkeypatch):
+    import looppres.exactlin as exactlin
+    core = exactlin._snf_with_inverses
+    shapes = []
+
+    def counting_core(m):
+        shapes.append((m.rows, m.cols))
+        return core(m)
+    monkeypatch.setattr(exactlin, "_snf_with_inverses", counting_core)
+    cases = [
+        ([[2, 0], [0, 2]], [2, 2], (2, 2)),          # no unit entry
+        ([[2, 4], [6, 8]], [2, 4], (2, 2)),
+        ([[2, 3]], [1], (1, 2)),                     # no unit entry, d_1 = 1
+        ([[1, 2], [3, 4]], [1, 2], (1, 1)),          # remainder [[-2]]
+        ([[1, 1], [1, -1]], [1, 2], (1, 1)),         # all +-1, remainder -2
+        ([[1, 0, 0], [0, 2, 4], [0, 6, 8]], [1, 2, 4], (2, 2)),
+        ([[1, -1, 0], [0, 1, -1], [-1, 0, 1]], [1, 1], None),   # units only
+    ]
+    for rows, factors, remainder in cases:
+        del shapes[:]
+        assert invariant_factors(M(rows)) == factors, rows
+        assert shapes == ([remainder] if remainder else []), rows
+
+
+def test_mul_matches_naive_product():
+    rng = random.Random(17)
+
+    def entry(ring):
+        if ring == QQ:
+            return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        return ring.from_int(rng.choice([0, 0, 0, 1, -1, 2, 5]))
+
+    shapes = [(0, 3, 2), (2, 3, 0), (2, 0, 3), (0, 0, 0)]
+    shapes += [tuple(rng.randint(1, 6) for _ in range(3)) for _ in range(30)]
+    for ring in (ZZ, QQ, GF(2), GF(3)):
+        for n, k, p in shapes:
+            a = [[entry(ring) for _ in range(k)] for _ in range(n)]
+            b = [[entry(ring) for _ in range(p)] for _ in range(k)]
+            want = [[ring.zero()] * p for _ in range(n)]
+            for i in range(n):
+                for j in range(p):
+                    for t in range(k):
+                        want[i][j] = ring.add(want[i][j],
+                                              ring.mul(a[i][t], b[t][j]))
+            got = ExactMatrix(n, k, a, ring).mul(ExactMatrix(k, p, b, ring))
+            assert got == ExactMatrix(n, p, want, ring), (ring, n, k, p)

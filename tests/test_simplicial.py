@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from corpus import rp2_flag12
+
 from looppres.errors import ChainConditionViolated, EmptySubset
 from looppres.exactlin import GF, QQ, ZZ, ExactMatrix, module_gen_rel
 from looppres.simplicial import (
@@ -99,6 +101,30 @@ def test_theta_counts_components():
             assert reduced_betti0(k, j) == len(theta_set(k, j))
 
 
+def test_path_components_match_union_find():
+    rng = random.Random(47)
+    for _ in range(10):
+        m = rng.randint(4, 9)
+        edges = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)
+                 if rng.random() < rng.choice([0.2, 0.35, 0.5])]
+        k = clique_complex(m, edges)
+        for j in all_subsets(m):
+            parent = {v: v for v in j}
+
+            def root(v):
+                while parent[v] != v:
+                    v = parent[v]
+                return v
+            for a, b in edges:
+                if a in j and b in j:
+                    parent[root(a)] = root(b)
+            groups = {}
+            for v in sorted(j):
+                groups.setdefault(root(v), []).append(v)
+            want = sorted(tuple(g) for g in groups.values())
+            assert path_components(k, j) == want, (m, edges, sorted(j))
+
+
 def test_boundary_squares_to_zero():
     for k in (PENTAGON, SQUARE, simplex(4), octahedron(), rp2_minimal()):
         for n in range(1, k.dim() + 2):
@@ -193,6 +219,23 @@ def test_homology_invariants_match_cycle_homology():
                     b = reduced_homology_invariants(k, j, ring, degree=n)
                     assert (b.rank, b.torsion, b.generators) == (
                         a.rank, a.torsion, []), (k, sorted(j), ring, n)
+
+
+def test_rp2_flag12_counts_through_invariants():
+    k = rp2_flag12()
+    assert is_flag(k) == (True, None)
+    assert f_h_vectors(k)[0] == (1, 12, 33, 22)
+    subsets = [j for j in all_subsets(k.m) if j]
+    assert sum(reduced_betti0(k, j) for j in subsets) == 714
+    for ring, relations in ((ZZ, 2762), (GF(2), 2762), (QQ, 2761)):
+        assert sum(reduced_homology_invariants(k, j, ring, 2).gen_count()
+                   for j in subsets) == relations, ring
+    top = frozenset(range(1, 13))
+    h1 = {ring: reduced_homology_invariants(k, top, ring, 2)
+          for ring in (ZZ, GF(2), QQ)}
+    assert (h1[ZZ].rank, h1[ZZ].torsion) == (0, [2])
+    assert (h1[GF(2)].rank, h1[GF(2)].torsion) == (1, [])
+    assert h1[QQ].is_zero()
 
 
 def test_homology_invariants_chain_condition_enforced(monkeypatch):
