@@ -6,8 +6,8 @@
 
 Input files are JSON objects {"m": int, "facets": [[1-indexed vertices]]};
 "m" may be omitted (inferred as the largest vertex).  Exit codes: 0 success,
-2 unparseable input, 3 non-flag input without --skeleton-clique; verify
-additionally exits 1 when an oracle check fails.
+2 unparseable input or --trunc < 0, 3 non-flag input without
+--skeleton-clique; verify and hilbert exit 1 when an oracle check fails.
 """
 
 import argparse
@@ -15,8 +15,8 @@ import json
 import os
 import sys
 
-from .errors import LoopPresError
-from .exactlin import parse_ring
+from .errors import ChainConditionViolated, LoopPresError
+from .exactlin import chain_homology_invariants, parse_ring
 from .homotopy import (
     loop_poincare_series,
     multiplicity_report,
@@ -35,6 +35,7 @@ from .presentation import (
 from .simplicial import (
     SimplicialComplex,
     all_subsets,
+    boundary_matrix,
     clique_complex,
     f_h_vectors,
     is_flag,
@@ -42,12 +43,18 @@ from .simplicial import (
     reduced_homology,
     reduced_homology_invariants,
 )
-from .torbar import bar_cycle, koszul_homology, verify_bar_cycle
+from .torbar import bar_cycle, koszul_invariants, verify_bar_cycle
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_NOT_FLAG = 3
+
+
+def nonnegative_int(text):
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %s" % text)
+    return int(text)
 
 
 def build_parser():
@@ -62,7 +69,7 @@ def build_parser():
     p.add_argument("--ring", default="Z",
                    help="coefficients: Z, Q or F<p> (default Z)")
     p.add_argument("--grading", default="multi", choices=["multi", "z"])
-    p.add_argument("--trunc", type=int, default=16,
+    p.add_argument("--trunc", type=nonnegative_int, default=16,
                    help="series/dimension truncation degree (default 16)")
     p.add_argument("--json", action="store_true", dest="as_json")
     p.add_argument("--skeleton-clique", action="store_true",
@@ -194,30 +201,23 @@ def cmd_verify(k, args, ring):
     report = verify_presentation(k, pres)
     checks = list(report.checks)
 
-    def tor_agrees(j):
-        for n in range(0, len(j) + 2):
-            a = koszul_homology(k, j, ring, degree=n)
-            b = reduced_homology_invariants(k, j, ring, degree=n)
-            if a.rank != b.rank or a.torsion != b.torsion:
-                return False
-        return True
-
-    tor_rows = [tor_agrees(j) for j in all_subsets(k.m) if j]
-    tor_ok = all(tor_rows)
-    checks.append(("Tor strand cross-check", tor_ok,
-                   "%d/%d subsets agree" % (sum(tor_rows), len(tor_rows))))
-
     alg = pc_algebra(k, ring)
+    tor_rows = []
     cycles_total = cycles_ok = 0
-    for j in all_subsets(k.m):
-        if not j:
-            continue
-        for n in (1, 2, 3):
-            _, cycles = reduced_homology(k, j, ring, degree=n)
-            for kappa in cycles:
-                cycles_total += 1
-                if verify_bar_cycle(bar_cycle(alg, kappa)):
-                    cycles_ok += 1
+    for j in all_subsets(k.m)[1:]:  # every nonempty J
+        simp = chain_homology_invariants(
+            [boundary_matrix(k, j, n) for n in range(len(j) + 3)], ring)
+        try:
+            tor_rows.append(koszul_invariants(k, j, ring) == simp)
+        except ChainConditionViolated:  # the strand is not a complex
+            tor_rows.append(False)
+        for n in (1, 2, 3):  # lift cycles only where H_{n-1}(K_J) != 0
+            if n < len(simp) and not simp[n].is_zero():
+                for kappa in reduced_homology(k, j, ring, degree=n)[1]:
+                    cycles_total += 1
+                    cycles_ok += verify_bar_cycle(bar_cycle(alg, kappa))
+    checks.append(("Tor strand cross-check", all(tor_rows),
+                   "%d/%d subsets agree" % (sum(tor_rows), len(tor_rows))))
     checks.append(("bar cycles closed", cycles_ok == cycles_total,
                    "%d/%d generating cycles" % (cycles_ok, cycles_total)))
 

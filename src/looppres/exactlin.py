@@ -524,6 +524,22 @@ def _invariants_from_diagonal(diag, free_tail, ring):
     return rank, torsion
 
 
+def chain_homology_invariants(diffs, ring=ZZ):
+    """H_0..H_{N-1} over ``ring`` of integer d_n: C_n -> C_{n-1}, n = 0..N.
+
+    Universal coefficients, one Smith diagonal per d_n: with r_n its nonzero
+    factors (over F_p, those prime to p), H_n has rank dim C_n - r_n - r_{n+1}
+    and, over Z, torsion the factors of d_{n+1} other than 1.  No generators."""
+    if any(not d1.mul(d2).is_zero() for d1, d2 in zip(diffs, diffs[1:])):
+        raise ChainConditionViolated("d1*d2 != 0")
+    factors = [invariant_factors(d) for d in diffs]
+    if ring.kind == "Fp":
+        factors = [[x for x in f if x % ring.p] for f in factors]
+    return [ModuleInvariants(rank=d.cols - len(f1) - len(f2), torsion=[
+                x for x in f2 if x != 1] if ring.kind == "Z" else [])
+            for d, f1, f2 in zip(diffs, factors, factors[1:])]
+
+
 def module_gen_rel(presentation_matrix, ring=None):
     """Minimal generator and relation counts of a cokernel.
 

@@ -393,12 +393,12 @@ def build_presentation(k, ring=ZZ, grading="multi"):
 
     per_j = []
     for j_set in all_subsets(k.m):
-        if len(j_set) < 3:
-            continue
+        if len(j_set) < 3 or reduced_homology_invariants(
+                k, j_set, ring, degree=2).is_zero():
+            continue  # lift cycles only where H_1(K_J) != 0
         inv, cycles = reduced_homology(k, j_set, ring, degree=2)
-        if cycles:
-            per_j.append((j_set, inv, cycles))
-            cert.h1_gens_by_j[j_set] = inv.gen_count()
+        per_j.append((j_set, inv, cycles))
+        cert.h1_gens_by_j[j_set] = inv.gen_count()
 
     relations = []
     if grading == "multi":

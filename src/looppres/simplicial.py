@@ -16,13 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ChainConditionViolated, EmptySubset, NotFlag, VertexOutOfRange
+from .errors import EmptySubset, NotFlag, VertexOutOfRange
 from .exactlin import (
     ZZ,
     ExactMatrix,
-    ModuleInvariants,
+    chain_homology_invariants,
     homology_with_representatives,
-    invariant_factors,
 )
 
 DEFAULT_MAX_M = 24
@@ -335,24 +334,9 @@ def reduced_homology(k, j, ring=ZZ, degree=1):
 
 
 def reduced_homology_invariants(k, j, ring=ZZ, degree=1):
-    """Rank and torsion of ``reduced_homology(k, j, ring, degree)``, no cycles.
-
-    Universal coefficients on the integral chain complex: with r1, r2 the
-    numbers of nonzero Smith factors of the integer d1 and d2 (over F_p, of
-    those not divisible by p), the rank is (faces of size ``degree``) - r1 -
-    r2; over Z the torsion is the factors of d2 other than 1.
-    """
-    j = frozenset(j)
-    d1 = boundary_matrix(k, j, degree)
-    d2 = boundary_matrix(k, j, degree + 1)
-    if not d1.mul(d2).is_zero():
-        raise ChainConditionViolated("d1*d2 != 0")
-    f1, f2 = invariant_factors(d1), invariant_factors(d2)
-    if ring.kind == "Fp":
-        f1 = [x for x in f1 if x % ring.p]
-        f2 = [x for x in f2 if x % ring.p]
-    torsion = [x for x in f2 if x != 1] if ring.kind == "Z" else []
-    return ModuleInvariants(rank=d1.cols - len(f1) - len(f2), torsion=torsion)
+    """``reduced_homology`` without cycles, by ``chain_homology_invariants``."""
+    return chain_homology_invariants(
+        [boundary_matrix(k, j, n) for n in (degree, degree + 1)], ring)[0]
 
 
 def reduced_betti0(k, j):

@@ -7,7 +7,8 @@ tuple of vertices with multiplicity.  Two differentials act here:
 * ``dbar`` on Lambda[m] (x) k<K> computes Tor over the loop homology of the
   moment-angle complex; its multidegree-(n, -|J|, 2J) strand is spanned by
   u_{J \\ L} (x) chi_L over faces L of K_J, and its homology matches the
-  reduced simplicial homology of K_J shifted by one.
+  reduced simplicial homology of K_J shifted by one (``verify`` compares
+  the two by universal coefficients on integer Smith invariants).
 * ``dhat`` is the resolution differential upstairs; its extra terms carry
   nested-commutator prefactors c(A, u_i) that land in the loop homology
   subalgebra of k[K]^!.
@@ -21,7 +22,8 @@ k[K]^! and checks the result vanishes.
 from itertools import permutations
 
 from .errors import FaceOutsideJ, NotACycle
-from .exactlin import ExactMatrix, ZZ, homology_with_representatives
+from .exactlin import (ExactMatrix, ZZ, chain_homology_invariants,
+                       homology_with_representatives)
 from .freealg import koszul_theta, ordered_splits
 from .pcalg import commutator_value
 from .simplicial import faces_within, is_cycle
@@ -227,12 +229,19 @@ def strand_matrix(k, j_set, n, ring=ZZ):
 def koszul_homology(k, j_set, ring=ZZ, degree=1):
     """Homology of the (degree, -|J|, 2J) strand of (Lambda[m] (x) k<K>, dbar).
 
-    Must agree with the reduced homology of K_J one dimension down; this is
-    the Tor cross-check exercised by the acceptance suite.
+    Must agree with the reduced homology of K_J one dimension down; ``verify``
+    reads rank and torsion by universal coefficients (``koszul_invariants``).
     """
     d1 = strand_matrix(k, j_set, degree, ring)
     d2 = strand_matrix(k, j_set, degree + 1, ring)
     return homology_with_representatives(d1, d2, ring)
+
+
+def koszul_invariants(k, j_set, ring=ZZ):
+    """``koszul_homology`` in degrees 0..|J|+1 without cycles: the strand is
+    built once over Z and read by ``chain_homology_invariants``."""
+    return chain_homology_invariants(
+        [strand_matrix(k, j_set, n) for n in range(len(j_set) + 3)], ring)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,21 @@
 import hashlib
 import json
+import random
 
 import pytest
 
+import looppres.torbar as torbar
 from looppres.cli import load_complex, main
-from looppres.exactlin import ZZ
+from looppres.exactlin import GF, ZZ
 from looppres.presentation import build_presentation, presentation_to_dict
-from looppres.simplicial import rp2_minimal
+from looppres.simplicial import (
+    all_subsets,
+    clique_complex,
+    cycle_complex,
+    octahedron,
+    reduced_homology,
+    rp2_minimal,
+)
 
 
 def write(tmp_path, name, payload):
@@ -73,6 +82,17 @@ def test_parse_error_exit_2(tmp_path, capsys):
 
 def test_bad_ring_exit_2(pentagon_file, capsys):
     assert main(["analyze", pentagon_file, "--ring", "F4"]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command,trunc", [("hilbert", "-1"),
+                                           ("homotopy", "-2")])
+def test_negative_trunc_exit_2(pentagon_file, capsys, command, trunc):
+    with pytest.raises(SystemExit) as exc:
+        main([command, pentagon_file, "--trunc", trunc])
+    assert exc.value.code == 2
+    assert "--trunc: must be >= 0" in capsys.readouterr().err
+    assert main([command, pentagon_file, "--trunc", "0"]) == 0
     capsys.readouterr()
 
 
@@ -193,3 +213,70 @@ def test_analyze_rp2_torsion(tmp_path, capsys, ring):
         assert full not in rows
     assert all(r["h1_torsion"] == [] for j, r in rows.items() if j != full)
     assert hashlib.sha256(out.encode()).hexdigest() == RP2_ANALYZE_SHA256[ring]
+
+
+def gnp_flag(m, seed, p=0.5):
+    rng = random.Random(seed)
+    return clique_complex(m, [(i, j) for i in range(1, m + 1)
+                              for j in range(i + 1, m + 1)
+                              if rng.random() < p])
+
+
+def verify_json(tmp_path, capsys, k, ring):
+    path = write(tmp_path, "k.json", k.to_json_dict())
+    code = main(["verify", path, "--json", "--ring", ring])
+    out = capsys.readouterr().out
+    return code, out, {c["name"]: c for c in json.loads(out)["checks"]}
+
+
+def test_verify_tor_row_fails_on_broken_dbar(monkeypatch, tmp_path, capsys):
+    real = torbar.dbar
+
+    def dbar_dropping_a_term(k, i_set, alpha):
+        out = real(k, i_set, alpha)
+        if len(out) > 1:
+            del out[next(iter(out))]
+        return out
+    monkeypatch.setattr(torbar, "dbar", dbar_dropping_a_term)
+    code, _, checks = verify_json(tmp_path, capsys, cycle_complex(5), "Z")
+    assert code == 1
+    assert not checks["Tor strand cross-check"]["ok"]
+    assert all(c["ok"] for name, c in checks.items()
+               if name != "Tor strand cross-check")
+
+
+@pytest.mark.parametrize("ring", ["Z", "F3"])
+def test_verify_bar_cycles_cover_every_cycle(tmp_path, capsys, ring):
+    # the bar-cycle loop lifts cycles only where the invariants are nonzero;
+    # it must still see every generating cycle of H_0, H_1, H_2 of every K_J
+    complexes = [cycle_complex(5), octahedron(), gnp_flag(7, 1),
+                 gnp_flag(7, 2)]
+    for k in complexes:
+        want = sum(len(reduced_homology(k, j, GF(3) if ring == "F3" else ZZ,
+                                        degree=n)[1])
+                   for j in all_subsets(k.m) for n in (1, 2, 3))
+        code, _, checks = verify_json(tmp_path, capsys, k, ring)
+        assert code == 0
+        assert checks["bar cycles closed"]["detail"] == (
+            "%d/%d generating cycles" % (want, want)), k
+
+
+# sha256 of `verify --json --ring R` stdout, recorded before the Tor
+# cross-check and the bar-cycle loop read integer Smith invariants first
+VERIFY_SHA256 = {
+    ("7-gon", "Z"):
+        "2d5618ed3480674d34b3e5caab6e531b7fe64dbba8e3664cef86d77d3aaf1d46",
+    ("7-gon", "F3"):
+        "2d5618ed3480674d34b3e5caab6e531b7fe64dbba8e3664cef86d77d3aaf1d46",
+    ("octahedron", "Z"):
+        "58011ff802e0ae55f34652430df570a7fcda34ffb242a9f27e3810b3800a777d",
+}
+
+
+@pytest.mark.parametrize("name,ring", sorted(VERIFY_SHA256))
+def test_verify_json_pinned(tmp_path, capsys, name, ring):
+    k = cycle_complex(7) if name == "7-gon" else octahedron()
+    code, out, _ = verify_json(tmp_path, capsys, k, ring)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        VERIFY_SHA256[(name, ring)]

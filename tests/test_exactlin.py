@@ -10,6 +10,7 @@ from looppres.exactlin import (
     QQ,
     ZZ,
     ExactMatrix,
+    chain_homology_invariants,
     cokernel_invariants,
     det_sign_unimodular,
     homology_with_representatives,
@@ -209,6 +210,26 @@ def test_homology_chain_condition_enforced():
     d2 = M([[1], [0]])
     with pytest.raises(ChainConditionViolated):
         homology_with_representatives(d1, d2)
+
+
+def test_chain_homology_invariants_by_universal_coefficients():
+    # Z --2--> Z in degrees 1 -> 0: H_0 = Z/2, H_1 = 0 over Z; both F2 over
+    # F2 (the factor 2 is zero mod 2); nothing over Q or F3
+    diffs = [ExactMatrix.zeros(0, 1), M([[2]]), ExactMatrix.zeros(1, 0)]
+    want = {ZZ: [(0, [2]), (0, [])], GF(2): [(1, []), (1, [])],
+            QQ: [(0, []), (0, [])], GF(3): [(0, []), (0, [])]}
+    for ring, expected in want.items():
+        got = chain_homology_invariants(diffs, ring)
+        assert [(h.rank, h.torsion, h.generators) for h in got] == [
+            (r, t, []) for r, t in expected], ring
+
+
+def test_chain_homology_invariants_chain_condition_enforced():
+    # d_0*d_1 = 0 holds; d_1*d_2 != 0 must still be caught
+    diffs = [ExactMatrix.zeros(0, 2), M([[1, 0], [0, 1]]), M([[1], [0]])]
+    for ring in (ZZ, QQ, GF(2)):
+        with pytest.raises(ChainConditionViolated):
+            chain_homology_invariants(diffs, ring)
 
 
 def test_homology_generators_generate():

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from looppres.errors import FaceOutsideJ, NotACycle
-from looppres.exactlin import GF, QQ, ZZ
+from looppres.errors import ChainConditionViolated, FaceOutsideJ, NotACycle
+from looppres.exactlin import GF, QQ, ZZ, ExactMatrix
 from looppres.pcalg import PCAlgebra, commutator_value
 from looppres.simplicial import (
     SimplicialCycle,
@@ -14,6 +14,7 @@ from looppres.simplicial import (
     octahedron,
     path_complex,
     reduced_homology,
+    rp2_minimal,
     simplex,
 )
 from looppres.torbar import (
@@ -28,6 +29,7 @@ from looppres.torbar import (
     dhat_resolution,
     g_map,
     koszul_homology,
+    koszul_invariants,
     strand_basis,
     verify_bar_cycle,
 )
@@ -152,6 +154,36 @@ def test_koszul_strand_matches_reduced_homology():
                     a = koszul_homology(k, j_set, ring, degree=n)
                     b, _ = reduced_homology(k, j_set, ring, degree=n)
                     assert invariants_match(a, b), (k, sorted(j_set), n, ring)
+
+
+def test_koszul_invariants_match_koszul_homology():
+    # the integer strand read by universal coefficients against the strand
+    # reduced over each ring with lifted cycles; rp2_minimal() has Z/2 at
+    # J = [6] in degree 2
+    rng = random.Random(41)
+    complexes = [rp2_minimal()] + [random_flag(rng, max_m=7)
+                                   for _ in range(10)]
+    top = frozenset(range(1, 7))
+    assert koszul_invariants(complexes[0], top, ZZ)[2].torsion == [2]
+    for k in complexes:
+        for j_set in all_subsets(k.m):
+            for ring in (ZZ, QQ, GF(2), GF(3)):
+                fast = koszul_invariants(k, j_set, ring)
+                assert len(fast) == len(j_set) + 2
+                for n, b in enumerate(fast):
+                    a = koszul_homology(k, j_set, ring, degree=n)
+                    assert (b.rank, b.torsion, b.generators) == (
+                        a.rank, a.torsion, []), (k, sorted(j_set), ring, n)
+
+
+def test_koszul_invariants_chain_condition_enforced(monkeypatch):
+    import looppres.torbar as torbar
+
+    def bad_strand(k, j_set, n, ring=ZZ):
+        return ExactMatrix.from_rows([[1]], ZZ)
+    monkeypatch.setattr(torbar, "strand_matrix", bad_strand)
+    with pytest.raises(ChainConditionViolated):
+        koszul_invariants(PENTAGON, {1, 2}, ZZ)
 
 
 def test_strand_basis_is_squarefree_faces():
