@@ -4,10 +4,12 @@ Everything here is exact: integer matrices use Python's arbitrary-precision
 ints, rational ones use ``fractions.Fraction``, and Z/p works with reduced
 residues.  Homology of a two-term complex ``ker d1 / im d2`` with explicit
 generator vectors rests on two dense cores with transforms: Smith normal
-form over Z and Gauss-Jordan over a field.  ``invariant_factors`` needs only
-the Smith diagonal and builds no transforms.  Invariant factors follow the
-divisibility chain d_1 | d_2 | ... with unit factors dropped, so a finitely
-generated module is recorded as (rank, torsion factors).
+form over Z and Gauss-Jordan over a field.  It runs two eliminations: one
+of d1, whose V^-1 gives kernel coordinates, and one of the coordinates of
+im d2.  ``invariant_factors`` needs only the Smith diagonal and builds no
+transforms.  Invariant factors follow the divisibility chain d_1 | d_2 | ...
+with unit factors dropped, so a finitely generated module is recorded as
+(rank, torsion factors).
 """
 
 from __future__ import annotations
@@ -79,6 +81,8 @@ class CoefficientRing:
         if self.kind == "Q":
             return Fraction(1) / a
         if self.kind == "Fp":
+            if a % self.p == 0:
+                raise ZeroDivisionError("0 has no inverse in F%d" % self.p)
             return pow(a, self.p - 2, self.p)
         if a in (1, -1):
             return a
@@ -558,65 +562,22 @@ def module_gen_rel(presentation_matrix, ring=None):
     return rank + len(torsion), len(torsion)
 
 
+def _free_places(d, ring):
+    """Places j of a diagonalization U*M*V = D whose column of D is zero."""
+    diag = d.diagonal()
+    return [j for j in range(d.cols) if j >= len(diag) or ring.is_zero(diag[j])]
+
+
 def kernel_basis(m):
     """Columns spanning ker(m) as a saturated lattice (a basis over fields)."""
     _, d, v, _, _ = _diagonalize(m)
-    diag = d.diagonal()
-    ring = m.ring
-    free_cols = [j for j in range(m.cols)
-                 if j >= len(diag) or ring.is_zero(diag[j])]
-    return [v.column(j) for j in free_cols]
+    return [v.column(j) for j in _free_places(d, m.ring)]
 
 
 def rank(m):
     _, d, _, _, _ = _diagonalize(m)
     ring = m.ring
     return sum(1 for x in d.diagonal() if not ring.is_zero(x))
-
-
-def _solve_in_lattice(k_cols, targets, ring):
-    """Solve K*x = t for each target column; K's columns are independent.
-
-    K must span a saturated sublattice (true for kernels extracted via SNF),
-    so integral solutions exist whenever the targets lie in the span.
-    """
-    n = len(k_cols[0]) if k_cols else (len(targets[0]) if targets else 0)
-    k = len(k_cols)
-    K = ExactMatrix(n, k, [[k_cols[j][i] for j in range(k)] for i in range(n)],
-                    ring)
-    u, d, v, _, _ = _diagonalize(K)
-    diag = d.diagonal()
-    sols = []
-    for t in targets:
-        rhs = [sum_mul(u.data[i], t, ring) for i in range(n)]
-        y = []
-        for i in range(k):
-            di = diag[i] if i < len(diag) else ring.zero()
-            if ring.is_zero(di):
-                if not ring.is_zero(rhs[i]):
-                    raise ChainConditionViolated("target outside the kernel")
-                y.append(ring.zero())
-                continue
-            if ring.is_field():
-                y.append(ring.mul(rhs[i], ring.inv(di)))
-            else:
-                q, r = divmod(rhs[i], di)
-                if r != 0:
-                    raise ChainConditionViolated("target outside the lattice")
-                y.append(q)
-        for i in range(k, n):
-            if not ring.is_zero(rhs[i]):
-                raise ChainConditionViolated("target outside the kernel")
-        sols.append([sum_mul(v.data[i], y, ring) for i in range(k)])
-    return sols
-
-
-def sum_mul(row, vec, ring):
-    acc = ring.zero()
-    for a, b in zip(row, vec):
-        if not (ring.is_zero(a) or ring.is_zero(b)):
-            acc = ring.add(acc, ring.mul(a, b))
-    return acc
 
 
 def homology_with_representatives(d1, d2, ring=None):
@@ -626,6 +587,11 @@ def homology_with_representatives(d1, d2, ring=None):
     images of basis vectors).  Requires d1*d2 = 0.  The returned generator
     vectors live in C_n, are cycles, and reduce to a minimal generating set
     of the subquotient (torsion generators first, then free ones).
+
+    Two eliminations: U*d1*V = D gives ker d1 as the columns of V at the free
+    places of D, and the same rows of V^-1 give the coordinates in that basis
+    of any vector of ker d1, here the columns of d2.  Diagonalizing the
+    coordinate matrix X picks the generators out of ker d1.
     """
     ring = ring or d1.ring
     if d1.ring != ring or d2.ring != ring:
@@ -635,46 +601,24 @@ def homology_with_representatives(d1, d2, ring=None):
     if not d1.mul(d2).is_zero():
         raise ChainConditionViolated("d1*d2 != 0")
 
-    n = d1.cols
-    kcols = kernel_basis(d1)
-    k = len(kcols)
+    _, d, v, _, vinv = _diagonalize(d1)
+    free = _free_places(d, ring)
+    k = len(free)
     if k == 0:
         return ModuleInvariants(rank=0, torsion=[], generators=[])
-
-    targets = [d2.column(j) for j in range(d2.cols)]
-    coords = _solve_in_lattice(kcols, targets, ring) if targets else []
-    X = ExactMatrix(k, len(coords),
-                    [[coords[j][i] for j in range(len(coords))]
-                     for i in range(k)], ring)
+    # D*(V^-1*t) = U*d1*t = 0 for t in ker d1, so t = V*(V^-1*t) is carried
+    # by the free places alone
+    X = ExactMatrix(k, d1.cols, [vinv.data[j] for j in free], ring).mul(d2)
     _, dx, _, uxinv, _ = _diagonalize(X)
     diag = dx.diagonal()
-
-    gens_new_basis = []   # (factor, column index into Uinv)
-    for i in range(k):
-        f = diag[i] if i < len(diag) else ring.zero()
-        if ring.is_unit(f) and not ring.is_zero(f):
-            continue
-        gens_new_basis.append((f, i))
-    # torsion first (divisibility order preserved by SNF), free last
-    gens_new_basis.sort(key=lambda t: (ring.is_zero(t[0]), ))
-
-    torsion = []
-    generators = []
-    for f, i in gens_new_basis:
-        if not ring.is_zero(f):
-            torsion.append(f)
-        lift = [ring.zero()] * n
-        for r in range(k):
-            c = uxinv.data[r][i]
-            if ring.is_zero(c):
-                continue
-            col = kcols[r]
-            for s in range(n):
-                lift[s] = ring.add(lift[s], ring.mul(c, col[s]))
-        generators.append(lift)
-    rank_free = len(gens_new_basis) - len(torsion)
-    return ModuleInvariants(rank=rank_free, torsion=torsion,
-                            generators=generators)
+    # both cores put the nonzero pivots first: torsion, then free generators
+    keep = [i for i in range(k) if i >= len(diag) or not ring.is_unit(diag[i])]
+    torsion = [diag[i] for i in keep
+               if i < len(diag) and not ring.is_zero(diag[i])]
+    kernel = ExactMatrix(k, d1.cols, [v.column(j) for j in free], ring)
+    lifts = ExactMatrix(len(keep), k, [uxinv.column(i) for i in keep], ring)
+    return ModuleInvariants(rank=len(keep) - len(torsion), torsion=torsion,
+                            generators=lifts.mul(kernel).data)
 
 
 def cokernel_invariants(m):

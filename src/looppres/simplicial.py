@@ -121,6 +121,8 @@ class SimplicialComplex:
         m = data.get("m")
         if m is None:
             m = max((v for f in facets for v in f), default=0)
+        elif not isinstance(m, int) or isinstance(m, bool):
+            raise ValueError("\"m\" must be an integer, got %r" % (m,))
         return cls(m, facets, max_m=max_m)
 
     def to_json_dict(self):

@@ -77,6 +77,10 @@ def test_parse_error_exit_2(tmp_path, capsys):
     path3 = write(tmp_path, "bad3.json", {"facets": [[1, 2]], "m": 9})
     assert main(["analyze", path3]) == 2  # ghost vertices
     assert main(["analyze", "/nonexistent/file.json"]) == 2
+    path4 = write(tmp_path, "bad4.json", {"m": "5", "facets": [[1, 2]]})
+    assert main(["analyze", path4]) == 2  # not a TypeError traceback
+    path5 = write(tmp_path, "bad5.json", {"m": 2.5, "facets": [[1, 2]]})
+    assert main(["analyze", path5]) == 2
     capsys.readouterr()
 
 
@@ -280,3 +284,39 @@ def test_verify_json_pinned(tmp_path, capsys, name, ring):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
         VERIFY_SHA256[(name, ring)]
+
+
+# sha256 of `presentation --json --ring R --grading G` stdout, recorded while
+# the kernel coordinates of im d2 came from a third elimination that solved
+# K*x = t; the cycle representatives must not move.  The multigraded seed-3
+# cases have K_J with H_1 of rank 2, so they also pin the generator order
+PRESENTATION_SHA256 = {
+    ("hexagon", "Q", "multi"):
+        "5f482d31e6cd9d099609128764728014a758b0ccef15caa26fff2094b4015306",
+    ("hexagon", "F3", "multi"):
+        "2c729cdaacc3596d3952c9315fc123642cea268de8d12b3ec7642d7a57958a8e",
+    ("octahedron", "Q", "multi"):
+        "d7f426590c1a296415a5eaf16d34f8a96b2762b5aee447155dd6c16d13d49143",
+    ("octahedron", "F3", "multi"):
+        "a1455a94a8ff608062ebdb5db8e9d0cfa836bd0cabc112e7b6e798634a3e2a70",
+    ("G(7,0.5) seed 3", "Q", "multi"):
+        "67eb5d25af7aedffbc258d084809bb48f2d80bd1454c28641430e154a2c17dbc",
+    ("G(7,0.5) seed 3", "F3", "multi"):
+        "02105822f937f604553edca074537e0240f167a0c944604bd82613b08e2eb60f",
+    ("G(7,0.5) seed 3", "Z", "z"):
+        "63eb6779dbb550b1c6ee07d70d42591bb2243a506f68fc9619f47f89deaf20dc",
+    ("G(7,0.5) seed 3", "Q", "z"):
+        "fe1c42c312fa5bc278368763718218a3d59ab4bfc2e9bb97d349990d126d2320",
+}
+
+
+@pytest.mark.parametrize("name,ring,grading", sorted(PRESENTATION_SHA256))
+def test_presentation_json_pinned(tmp_path, capsys, name, ring, grading):
+    k = {"hexagon": cycle_complex(6), "octahedron": octahedron(),
+         "G(7,0.5) seed 3": gnp_flag(7, 3)}[name]
+    path = write(tmp_path, "k.json", k.to_json_dict())
+    assert main(["presentation", path, "--json", "--ring", ring,
+                 "--grading", grading]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        PRESENTATION_SHA256[(name, ring, grading)]

@@ -20,6 +20,8 @@ from looppres.exactlin import (
     parse_ring,
     rank,
     smith_normal_form,
+    _field_diagonalize,
+    _snf_with_inverses,
 )
 
 
@@ -73,6 +75,39 @@ def test_snf_random_contract_1000():
         m = M([[rng.randint(-50, 50) for _ in range(cols)]
                for _ in range(rows)])
         check_snf_contract(m)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(3)], ids=repr)
+def test_diagonalize_transforms_are_inverse_pairs(ring):
+    # homology_with_representatives reads kernel coordinates off Vinv and
+    # lifts generators through Uinv, so both inverses are load-bearing
+    core = _snf_with_inverses if ring == ZZ else _field_diagonalize
+    rng = random.Random(29)
+    shapes = [(0, 0), (0, 4), (4, 0)] + [(rng.randint(1, 6), rng.randint(1, 6))
+                                         for _ in range(200)]
+    for rows, cols in shapes:
+        m = ExactMatrix.from_rows(
+            [[rng.choice([0, 0, 1, -1, 2, 3, -4, 6]) for _ in range(cols)]
+             for _ in range(rows)], ring, cols=cols)
+        u, d, v, uinv, vinv = core(m)
+        assert u.mul(m).mul(v) == d
+        assert u.mul(uinv) == ExactMatrix.identity(rows, ring)
+        assert v.mul(vinv) == ExactMatrix.identity(cols, ring)
+        assert all(d[i, j] == 0 for i in range(rows) for j in range(cols)
+                   if i != j)
+        # nonzero pivots first: the torsion-first generator order rests on it
+        nonzero = [x != 0 for x in d.diagonal()]
+        assert nonzero == sorted(nonzero, reverse=True)
+
+
+@pytest.mark.parametrize("ring", [GF(2), GF(3), QQ], ids=repr)
+def test_inverse_of_zero_raises(ring):
+    with pytest.raises(ZeroDivisionError):
+        ring.inv(ring.zero())
+    for n in range(1, 3):
+        a = ring.from_int(n)
+        if not ring.is_zero(a):
+            assert ring.mul(a, ring.inv(a)) == ring.one()
 
 
 def brute_force_gen_count(factors):
