@@ -3,10 +3,11 @@
 Everything here is exact: integer matrices use Python's arbitrary-precision
 ints, rational ones use ``fractions.Fraction``, and Z/p works with reduced
 residues.  Homology of a two-term complex ``ker d1 / im d2`` with explicit
-generator vectors rests on two dense cores with transforms: Smith normal
-form over Z and Gauss-Jordan over a field.  It runs two eliminations: one
-of d1, whose V^-1 gives kernel coordinates, and one of the coordinates of
-im d2.  ``invariant_factors`` needs only the Smith diagonal and builds no
+generator vectors rests on one set of elimination steps that carry both
+transforms and their inverses, under two pivot rules: Smith normal form over
+Z and Gauss-Jordan over a field.  It runs two eliminations: one of d1, whose
+V^-1 gives kernel coordinates, and one of the coordinates of im d2.
+``invariant_factors`` needs only the Smith diagonal and builds no
 transforms.  Invariant factors follow the divisibility chain d_1 | d_2 | ...
 with unit factors dropped, so a finitely generated module is recorded as
 (rank, torsion factors).
@@ -35,6 +36,8 @@ class CoefficientRing:
         if kind not in ("Z", "Q", "Fp"):
             raise ValueError("unknown ring kind: %r" % (kind,))
         if kind == "Fp":
+            if p is not None and p >= 2 ** 40:
+                raise ValueError("F_p needs p < 2^40, got %d" % p)
             if p is None or p < 2 or not _is_prime(p):
                 raise ValueError("PrimeField needs a prime p, got %r" % (p,))
         elif p is not None:
@@ -158,11 +161,7 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n, ring=ZZ):
-        m = cls.zeros(n, n, ring)
-        one = ring.one()
-        for i in range(n):
-            m.data[i][i] = one
-        return m
+        return cls(n, n, _identity_rows(n, ring), ring)
 
     @classmethod
     def from_rows(cls, data, ring=ZZ, cols=None):
@@ -218,6 +217,11 @@ class ExactMatrix:
         return [self.data[i][i] for i in range(min(self.rows, self.cols))]
 
 
+def _identity_rows(n, ring):
+    one, zero = ring.one(), ring.zero()
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
 def det_sign_unimodular(m):
     """Determinant of an integer matrix that is expected to be +-1.
 
@@ -248,8 +252,94 @@ def det_sign_unimodular(m):
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form over Z
+# elimination steps and the two dense cores
 # ---------------------------------------------------------------------------
+
+class _Elimination:
+    """A matrix M under elementary operations, with both transforms.
+
+    ``a`` holds the rows of [M | I] stacked on [I]: a row step on the top
+    rows also writes U, a column step on the left columns also writes V, and
+    the top-left block is U*M*V.  U^-1 is kept transposed, so both inverse
+    steps are row steps.  Over F_p every entry written is reduced mod p; the
+    ring is tested once per step, never per entry.
+    """
+
+    def __init__(self, m):
+        self.ring, self.p = m.ring, m.ring.p
+        self.rows, self.cols = m.rows, m.cols
+        self.uinv_t = _identity_rows(m.rows, m.ring)
+        v = _identity_rows(m.cols, m.ring)
+        self.a = [r + u for r, u in zip(m.data, self.uinv_t)] + v
+        self.vinv = [r[:] for r in v]
+
+    def _axpy(self, m, dst, src, q):
+        p = self.p
+        if p:
+            m[dst] = [(x + q * y) % p for x, y in zip(m[dst], m[src])]
+        else:
+            m[dst] = [x + q * y for x, y in zip(m[dst], m[src])]
+
+    def row_axpy(self, dst, src, q):
+        """Row dst += q * row src; column src of U^-1 -= q * column dst."""
+        self._axpy(self.a, dst, src, q)
+        self._axpy(self.uinv_t, src, dst, -q)
+
+    def col_axpy(self, dst, src, q):
+        """Column dst += q * column src; row src of V^-1 -= q * row dst."""
+        p = self.p
+        if p:
+            for r in self.a:
+                r[dst] = (r[dst] + q * r[src]) % p
+        else:
+            for r in self.a:
+                r[dst] += q * r[src]
+        self._axpy(self.vinv, src, dst, -q)
+
+    def swap(self, t, i, j):
+        """Bring row i and column j to place t."""
+        if i != t:
+            for m in (self.a, self.uinv_t):
+                m[t], m[i] = m[i], m[t]
+        if j != t:
+            for r in self.a:
+                r[t], r[j] = r[j], r[t]
+            self.vinv[t], self.vinv[j] = self.vinv[j], self.vinv[t]
+
+    def scale_row(self, t, c):
+        """Row t times the unit c; column t of U^-1 times c^-1."""
+        p = self.p
+        for m, k in ((self.a, c), (self.uinv_t, self.ring.inv(c))):
+            m[t] = [k * x % p for x in m[t]] if p else [k * x for x in m[t]]
+
+    def clear(self, t):
+        """Clear column t below the pivot a[t][t] and row t right of it.
+
+        Over Z each step subtracts the floor quotient and returns whether a
+        remainder is left; over a field the pivot must be 1, and none is.
+        """
+        a, pivot, euclid = self.a, self.a[t][t], self.ring.kind == "Z"
+        left = False
+        for i in range(t + 1, self.rows):
+            if a[i][t] != 0:
+                self.row_axpy(i, t, -(a[i][t] // pivot if euclid else a[i][t]))
+                left = left or a[i][t] != 0
+        for j in range(t + 1, self.cols):
+            if a[t][j] != 0:
+                self.col_axpy(j, t, -(a[t][j] // pivot if euclid else a[t][j]))
+                left = left or a[t][j] != 0
+        return left
+
+    def transforms(self):
+        """(U, D, V, U^-1, V^-1) with U*M*V = D."""
+        ring, rows, cols, a = self.ring, self.rows, self.cols, self.a
+        return (ExactMatrix(rows, rows, [r[cols:] for r in a[:rows]], ring),
+                ExactMatrix(rows, cols, [r[:cols] for r in a[:rows]], ring),
+                ExactMatrix(cols, cols, a[rows:], ring),
+                ExactMatrix(rows, rows, [list(c) for c in zip(*self.uinv_t)],
+                            ring),
+                ExactMatrix(cols, cols, self.vinv, ring))
+
 
 def smith_normal_form(m):
     """Smith normal form over Z: returns (U, D, V) with U*M*V = D.
@@ -267,54 +357,9 @@ def _snf_with_inverses(m):
     """SNF plus the inverses of the transforms (needed for generator lifts)."""
     if m.ring != ZZ:
         raise RingMismatch("smith_normal_form is for integer matrices")
-    rows, cols = m.rows, m.cols
-    a = [row[:] for row in m.data]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    uinv = [row[:] for row in u]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-    vinv = [row[:] for row in v]
-
-    def row_axpy(dst, src, q):
-        # row_dst += q*row_src on a and u;   uinv column op keeps u*uinv = I
-        ar_d, ar_s = a[dst], a[src]
-        for j in range(cols):
-            ar_d[j] += q * ar_s[j]
-        ur_d, ur_s = u[dst], u[src]
-        for j in range(rows):
-            ur_d[j] += q * ur_s[j]
-        for i in range(rows):
-            uinv[i][src] -= q * uinv[i][dst]
-
-    def col_axpy(dst, src, q):
-        for i in range(rows):
-            a[i][dst] += q * a[i][src]
-        for i in range(cols):
-            v[i][dst] += q * v[i][src]
-        vr_d, vr_s = vinv[dst], vinv[src]
-        for j in range(cols):
-            vr_s[j] -= q * vr_d[j]
-
-    def row_swap(i1, i2):
-        a[i1], a[i2] = a[i2], a[i1]
-        u[i1], u[i2] = u[i2], u[i1]
-        for i in range(rows):
-            uinv[i][i1], uinv[i][i2] = uinv[i][i2], uinv[i][i1]
-
-    def col_swap(j1, j2):
-        for i in range(rows):
-            a[i][j1], a[i][j2] = a[i][j2], a[i][j1]
-        for i in range(cols):
-            v[i][j1], v[i][j2] = v[i][j2], v[i][j1]
-        vinv[j1], vinv[j2] = vinv[j2], vinv[j1]
-
-    def row_negate(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-        for k in range(rows):
-            uinv[k][i] = -uinv[k][i]
-
-    n = min(rows, cols)
-    for t in range(n):
+    e = _Elimination(m)
+    a, rows, cols = e.a, m.rows, m.cols
+    for t in range(min(rows, cols)):
         while True:
             # minimal |entry| pivot in the trailing block, lowest row/col wins
             best = None
@@ -325,45 +370,20 @@ def _snf_with_inverses(m):
                         best = (abs(x), i, j)
             if best is None:
                 break
-            _, pi, pj = best
-            if pi != t:
-                row_swap(t, pi)
-            if pj != t:
-                col_swap(t, pj)
-            pivot = a[t][t]
-            dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t] != 0:
-                    q = a[i][t] // pivot
-                    row_axpy(i, t, -q)
-                    if a[i][t] != 0:
-                        dirty = True
-            for j in range(t + 1, cols):
-                if a[t][j] != 0:
-                    q = a[t][j] // pivot
-                    col_axpy(j, t, -q)
-                    if a[t][j] != 0:
-                        dirty = True
-            if dirty:
+            e.swap(t, best[1], best[2])
+            if e.clear(t):
                 continue
             # enforce d_t | (everything below/right) for the divisibility chain
-            fixed = True
+            pivot = a[t][t]
             for i in range(t + 1, rows):
                 if any(a[i][j] % pivot for j in range(t + 1, cols)):
-                    row_axpy(t, i, 1)
-                    fixed = False
+                    e.row_axpy(t, i, 1)
                     break
-            if fixed:
+            else:
                 break
         if a[t][t] < 0:
-            row_negate(t)
-
-    U = ExactMatrix(rows, rows, u, ZZ)
-    D = ExactMatrix(rows, cols, a, ZZ)
-    V = ExactMatrix(cols, cols, v, ZZ)
-    Uinv = ExactMatrix(rows, rows, uinv, ZZ)
-    Vinv = ExactMatrix(cols, cols, vinv, ZZ)
-    return U, D, V, Uinv, Vinv
+            e.scale_row(t, -1)
+    return e.transforms()
 
 
 def invariant_factors(m):
@@ -413,70 +433,27 @@ def _field_diagonalize(m):
     """Gauss-Jordan diagonalization with transforms over a field.
 
     Returns (U, D, V, Uinv, Vinv) with U*M*V = D and D diagonal whose
-    nonzero entries are normalized to 1, mirroring the SNF interface.
+    nonzero entries are normalized to 1, mirroring the SNF interface.  The
+    elimination steps are the Smith core's; only the pivot rule is its own:
+    the first nonzero entry in column-major order, scaled to 1.
     """
-    ring = m.ring
-    rows, cols = m.rows, m.cols
-    a = [row[:] for row in m.data]
-    one, zero = ring.one(), ring.zero()
-    u = [[one if i == j else zero for j in range(rows)] for i in range(rows)]
-    uinv = [row[:] for row in u]
-    v = [[one if i == j else zero for j in range(cols)] for i in range(cols)]
-    vinv = [row[:] for row in v]
-
-    t = 0
+    e = _Elimination(m)
+    a, rows, cols = e.a, m.rows, m.cols
     for t in range(min(rows, cols)):
         piv = None
         for j in range(t, cols):
             for i in range(t, rows):
-                if not ring.is_zero(a[i][j]):
+                if a[i][j] != 0:
                     piv = (i, j)
                     break
             if piv:
                 break
         if piv is None:
             break
-        pi, pj = piv
-        if pi != t:
-            a[t], a[pi] = a[pi], a[t]
-            u[t], u[pi] = u[pi], u[t]
-            for i in range(rows):
-                uinv[i][t], uinv[i][pi] = uinv[i][pi], uinv[i][t]
-        if pj != t:
-            for i in range(rows):
-                a[i][t], a[i][pj] = a[i][pj], a[i][t]
-            for i in range(cols):
-                v[i][t], v[i][pj] = v[i][pj], v[i][t]
-            vinv[t], vinv[pj] = vinv[pj], vinv[t]
-        # scale pivot row to 1
-        c = ring.inv(a[t][t])
-        a[t] = [ring.mul(c, x) for x in a[t]]
-        u[t] = [ring.mul(c, x) for x in u[t]]
-        cin = ring.inv(c)
-        for i in range(rows):
-            uinv[i][t] = ring.mul(uinv[i][t], cin)
-        for i in range(rows):
-            if i != t and not ring.is_zero(a[i][t]):
-                q = ring.neg(a[i][t])
-                a[i] = [ring.add(x, ring.mul(q, y)) for x, y in zip(a[i], a[t])]
-                u[i] = [ring.add(x, ring.mul(q, y)) for x, y in zip(u[i], u[t])]
-                for k in range(rows):
-                    uinv[k][t] = ring.sub(uinv[k][t], ring.mul(q, uinv[k][i]))
-        for j in range(cols):
-            if j != t and not ring.is_zero(a[t][j]):
-                q = ring.neg(a[t][j])
-                for i in range(rows):
-                    a[i][j] = ring.add(a[i][j], ring.mul(q, a[i][t]))
-                for i in range(cols):
-                    v[i][j] = ring.add(v[i][j], ring.mul(q, v[i][t]))
-                vinv[t] = [ring.sub(x, ring.mul(q, y))
-                           for x, y in zip(vinv[t], vinv[j])]
-    U = ExactMatrix(rows, rows, u, ring)
-    D = ExactMatrix(rows, cols, a, ring)
-    V = ExactMatrix(cols, cols, v, ring)
-    Uinv = ExactMatrix(rows, rows, uinv, ring)
-    Vinv = ExactMatrix(cols, cols, vinv, ring)
-    return U, D, V, Uinv, Vinv
+        e.swap(t, *piv)
+        e.scale_row(t, m.ring.inv(a[t][t]))
+        e.clear(t)
+    return e.transforms()
 
 
 def _diagonalize(m):
@@ -516,18 +493,6 @@ class ModuleInvariants:
         return self.rank == 0 and not self.torsion
 
 
-def _invariants_from_diagonal(diag, free_tail, ring):
-    """Split a diagonal into (rank, torsion) dropping unit factors."""
-    torsion = []
-    rank = free_tail
-    for x in diag:
-        if ring.is_zero(x):
-            rank += 1
-        elif not ring.is_unit(x):
-            torsion.append(x)
-    return rank, torsion
-
-
 def chain_homology_invariants(diffs, ring=ZZ):
     """H_0..H_{N-1} over ``ring`` of integer d_n: C_n -> C_{n-1}, n = 0..N.
 
@@ -553,13 +518,14 @@ def module_gen_rel(presentation_matrix, ring=None):
     """
     m = presentation_matrix
     if ring is not None and ring != m.ring:
-        m = ExactMatrix.from_rows(
-            [[ring.from_int(x) if isinstance(x, int) else x for x in row]
-             for row in m.data], ring, cols=m.cols)
+        m = ExactMatrix.from_rows(m.data, ring, cols=m.cols)
     _, d, _, _, _ = _diagonalize(m)
     diag = d.diagonal()
-    rank, torsion = _invariants_from_diagonal(diag, m.rows - len(diag), m.ring)
-    return rank + len(torsion), len(torsion)
+    units = sum(1 for x in diag if m.ring.is_unit(x))
+    zeros = sum(1 for x in diag if m.ring.is_zero(x))
+    # coker is the sum of R/d_i and a free R^(rows - len(diag)): a unit d_i
+    # adds nothing, a zero one a free generator, any other a relation
+    return m.rows - units, len(diag) - units - zeros
 
 
 def _free_places(d, ring):

@@ -391,40 +391,33 @@ def build_presentation(k, ring=ZZ, grading="multi"):
     generators = gptw_generators(k, ring)
     cert = _certificate(k)
 
-    per_j = []
+    # one block of (J, cycle, invariant factor) entries per J (multigraded)
+    # or per |J| (z-graded); Smith reduction of the block's factors merges
+    # its relations, and a one-J block gives back relation_for_cycle's
+    groups = {}
     for j_set in all_subsets(k.m):
         if len(j_set) < 3 or reduced_homology_invariants(
                 k, j_set, ring, degree=2).is_zero():
             continue  # lift cycles only where H_1(K_J) != 0
         inv, cycles = reduced_homology(k, j_set, ring, degree=2)
-        per_j.append((j_set, inv, cycles))
         cert.h1_gens_by_j[j_set] = inv.gen_count()
+        key = j_set if grading == "multi" else len(j_set)
+        groups.setdefault(key, []).extend(
+            (j_set, kappa, factor)
+            for factor, kappa in zip(inv.factors(), cycles))
 
     relations = []
-    if grading == "multi":
-        for j_set, inv, cycles in per_j:
-            for kappa in cycles:
-                relations.append(relation_for_cycle(k, kappa, ring))
-            n = len(j_set)
-            cert.rel_count_by_degree[n] = \
-                cert.rel_count_by_degree.get(n, 0) + inv.gen_count()
-    else:
-        by_degree = {}
-        for j_set, inv, cycles in per_j:
-            by_degree.setdefault(len(j_set), []).append((j_set, inv, cycles))
-        for n in sorted(by_degree):
-            entries = []  # (j_set, cycle, invariant factor)
-            for j_set, inv, cycles in by_degree[n]:
-                for factor, kappa in zip(inv.factors(), cycles):
-                    entries.append((j_set, kappa, factor))
-            size = len(entries)
-            diag = ExactMatrix.zeros(size, size, ring)
-            for t, (_, _, factor) in enumerate(entries):
-                diag.data[t][t] = factor
-            merged = cokernel_invariants(diag)
-            cert.rel_count_by_degree[n] = merged.gen_count()
-            for vec in merged.generators:
-                relations.append(_merge_relations(k, ring, entries, vec))
+    for entries in groups.values():
+        size = len(entries)
+        diag = ExactMatrix.zeros(size, size, ring)
+        for t, (_, _, factor) in enumerate(entries):
+            diag.data[t][t] = factor
+        merged = cokernel_invariants(diag)
+        n = len(entries[0][0])
+        cert.rel_count_by_degree[n] = \
+            cert.rel_count_by_degree.get(n, 0) + merged.gen_count()
+        for vec in merged.generators:
+            relations.append(_merge_relations(k, ring, entries, vec))
     relations.sort(key=lambda r: (r.degree,
                                   sorted(_subset_mask(j) for j, _ in r.parts)))
     assert len(generators) == cert.total_generators()

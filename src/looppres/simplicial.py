@@ -115,13 +115,13 @@ class SimplicialComplex:
             raise ValueError("input must be an object with a \"facets\" list")
         facets = data["facets"]
         if not isinstance(facets, list) or not all(
-                isinstance(f, list) and all(isinstance(v, int) for v in f)
+                isinstance(f, list) and all(type(v) is int for v in f)
                 for f in facets):
             raise ValueError("\"facets\" must be a list of integer lists")
         m = data.get("m")
         if m is None:
             m = max((v for f in facets for v in f), default=0)
-        elif not isinstance(m, int) or isinstance(m, bool):
+        elif type(m) is not int:
             raise ValueError("\"m\" must be an integer, got %r" % (m,))
         return cls(m, facets, max_m=max_m)
 

@@ -81,11 +81,24 @@ def test_parse_error_exit_2(tmp_path, capsys):
     assert main(["analyze", path4]) == 2  # not a TypeError traceback
     path5 = write(tmp_path, "bad5.json", {"m": 2.5, "facets": [[1, 2]]})
     assert main(["analyze", path5]) == 2
+    # booleans are not vertices, though isinstance(True, int) holds
+    path6 = write(tmp_path, "bad6.json",
+                  {"facets": [[True, 2], [2, 3], [3, 1]]})
+    assert main(["analyze", path6]) == 2
     capsys.readouterr()
 
 
 def test_bad_ring_exit_2(pentagon_file, capsys):
     assert main(["analyze", pentagon_file, "--ring", "F4"]) == 2
+    capsys.readouterr()
+
+
+def test_huge_prime_ring_refused(pentagon_file, capsys):
+    # trial division on 2^61 - 1 would run for hours; p >= 2^40 is refused
+    assert main(["analyze", pentagon_file,
+                 "--ring", "F2305843009213693951"]) == 2
+    assert "2^40" in capsys.readouterr().err
+    assert main(["analyze", pentagon_file, "--ring", "F1000003"]) == 0
     capsys.readouterr()
 
 
