@@ -146,7 +146,7 @@ def cmd_presentation(k, args, ring):
     for rel in pres.relations:
         js = ",".join(str(sorted(j)) for j, _ in rel.parts)
         print("  deg %-3d (J=%s)" % (rel.degree, js))
-        print("    %s" % render_relation(k, rel, ring))
+        print("    %s" % render_relation(k, rel))
     return EXIT_OK
 
 

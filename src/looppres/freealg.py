@@ -241,7 +241,7 @@ class FreePolynomial:
             v = ring.from_int(c)
             if not ring.is_zero(v):
                 out[w] = v
-        return FreePolynomial(ring, out)
+        return FreePolynomial._wrap(ring, out)
 
     def leading_word(self):
         if not self.terms:
@@ -305,13 +305,10 @@ def graded_commutator(x, y):
     """[x, y] = xy - (-1)^(deg x deg y) yx on homogeneous arguments."""
     dx = x.total_degree()
     dy = y.total_degree()
-    xy = x * y
-    yx = y * x
-    if dx is None or dy is None:
-        return xy - yx  # one side is zero anyway
-    if (dx * dy) % 2 == 0:
-        return xy - yx
-    return xy + yx
+    out = (x * y).terms
+    odd = dx is not None and dy is not None and (dx * dy) % 2
+    accumulate(out, y * x, 1 if odd else -1)
+    return FreePolynomial._wrap(x.ring, out)
 
 
 def u_word(subset, ring=ZZ):

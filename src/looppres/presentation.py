@@ -20,18 +20,20 @@ smallest vertex of i's component (different component):
    reduce the rank exactly as in case 2, walking towards min(component).
 
 Results are memoized per complex and are ring-independent (all coefficients
-are +-1 sums over Z); callers convert to their coefficient ring.
+are +-1 sums over Z).  Relation synthesis sums the brackets of each edge of
+a cycle over Z and brings the sum into the coefficient ring once.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import NotACycle, PreconditionViolated
 from .exactlin import ExactMatrix, ZZ, cokernel_invariants
 from .freealg import (
     FreePolynomial,
+    _render_term,
     accumulate,
     gptw_symbol,
     graded_commutator,
@@ -260,8 +262,43 @@ class Relation:
         return out
 
 
-def _relation_data(k, ring, kappa):
-    """Raw (poly, terms) for one 1-cycle, before sign normalization."""
+def _normalize_sign(rel):
+    """Fix the unit ambiguity: lex-least word gets a positive coefficient
+    (over Z and Q) or coefficient 1 (over F_p)."""
+    poly = rel.poly
+    ring = poly.ring
+    lead = poly.leading_word()
+    if lead is None:
+        return rel
+    c = poly.terms[lead]
+    if ring.kind == "Fp":
+        unit = ring.inv(c)
+        if unit == ring.one():
+            return rel
+    elif c < 0:
+        unit = ring.from_int(-1)
+    else:
+        return rel
+    return replace(rel, poly=poly.scale(unit),
+                   terms=tuple(replace(t, coeff=ring.mul(unit, t.coeff))
+                               for t in rel.terms))
+
+
+def relation_for_cycle(k, kappa, ring=ZZ, normalize_sign=True):
+    """The defining relation attached to a simplicial 1-cycle in K_J.
+
+    Sum over edges {i<j} of the cycle and partitions J\\{i,j} = A+B with
+    max(A) > i, max(B) > j of
+
+        (-1)^{|J_<i|+|J_<j|} lambda_{ij} (-1)^{theta(A,B)+|A|}
+        [chat(A, u_i), chat(B, u_j)],
+
+    each chat taken from the rewriting engine.  The brackets of one edge are
+    summed over Z and enter ``ring`` once, scaled by
+    (-1)^{|J_<i|+|J_<j|} lambda_{ij}.  The polynomial evaluates to zero in
+    k[K]^!.
+    """
+    require_flag(k)
     j_set = frozenset(kappa.j)
     if kappa.dimension != 1 or any(len(f) != 2 for f, _ in kappa.terms):
         raise NotACycle("relation synthesis needs a chain of edges")
@@ -276,62 +313,23 @@ def _relation_data(k, ring, kappa):
         eps = (-1) ** (sum(1 for v in j_set if v < i)
                        + sum(1 for v in j_set if v < j))
         base = ring.mul(lam, ring.from_int(eps))
+        edge_sum = {}
         for a_set, b_set in ordered_splits(j_set - face, (i, j)):
-            sign = (koszul_theta(a_set, b_set) + len(a_set)) % 2
-            coeff = base if sign == 0 else ring.neg(base)
+            odd = (koszul_theta(a_set, b_set) + len(a_set)) % 2
             alive = (i not in k.adjacency[max(a_set)]
                      and j not in k.adjacency[max(b_set)])
-            terms.append(CommutatorTerm(j_set=j_set, i=i, j=j, a_set=a_set,
-                                        b_set=b_set, coeff=coeff,
-                                        alive=alive))
-            ca = rewrite_chat(k, a_set | {i}, i).convert_ring(ring)
-            cb = rewrite_chat(k, b_set | {j}, j).convert_ring(ring)
-            accumulate(poly, graded_commutator(ca, cb), coeff)
-    return FreePolynomial(ring, poly), terms
-
-
-def _normalize_sign(ring, poly, terms):
-    """Fix the unit ambiguity: lex-least word gets a positive coefficient
-    (over Z and Q) or coefficient 1 (over F_p)."""
-    lead = poly.leading_word()
-    if lead is None:
-        return poly, terms
-    c = poly.terms[lead]
-    if ring.kind == "Fp":
-        unit = ring.inv(c)
-        if unit == ring.one():
-            return poly, terms
-    elif c < 0:
-        unit = ring.from_int(-1)
-    else:
-        return poly, terms
-    poly = poly.scale(unit)
-    terms = tuple(CommutatorTerm(j_set=t.j_set, i=t.i, j=t.j, a_set=t.a_set,
-                                 b_set=t.b_set,
-                                 coeff=ring.mul(unit, t.coeff),
-                                 alive=t.alive)
-                  for t in terms)
-    return poly, terms
-
-
-def relation_for_cycle(k, kappa, ring=ZZ, normalize_sign=True):
-    """The defining relation attached to a simplicial 1-cycle in K_J.
-
-    Sum over edges {i<j} of the cycle and partitions J\\{i,j} = A+B with
-    max(A) > i, max(B) > j of
-
-        (-1)^{|J_<i|+|J_<j|} lambda_{ij} (-1)^{theta(A,B)+|A|}
-        [chat(A, u_i), chat(B, u_j)],
-
-    each chat taken from the rewriting engine.  The polynomial evaluates to
-    zero in k[K]^!.
-    """
-    require_flag(k)
-    poly, terms = _relation_data(k, ring, kappa)
-    if normalize_sign:
-        poly, terms = _normalize_sign(ring, poly, terms)
-    return Relation(degree=len(kappa.j), poly=poly,
-                    parts=((frozenset(kappa.j), kappa),), terms=tuple(terms))
+            terms.append(CommutatorTerm(
+                j_set=j_set, i=i, j=j, a_set=a_set, b_set=b_set,
+                coeff=ring.neg(base) if odd else base, alive=alive))
+            accumulate(edge_sum,
+                       graded_commutator(rewrite_chat(k, a_set | {i}, i),
+                                         rewrite_chat(k, b_set | {j}, j)),
+                       -1 if odd else 1)
+        accumulate(poly, FreePolynomial._wrap(ZZ, edge_sum).convert_ring(ring),
+                   base)
+    rel = Relation(degree=len(j_set), poly=FreePolynomial._wrap(ring, poly),
+                   parts=((j_set, kappa),), terms=tuple(terms))
+    return _normalize_sign(rel) if normalize_sign else rel
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +391,7 @@ def build_presentation(k, ring=ZZ, grading="multi"):
 
     # one block of (J, cycle, invariant factor) entries per J (multigraded)
     # or per |J| (z-graded); Smith reduction of the block's factors merges
-    # its relations, and a one-J block gives back relation_for_cycle's
+    # its cycles, and each merged relation sums relation_for_cycle over J
     groups = {}
     for j_set in all_subsets(k.m):
         if len(j_set) < 3 or reduced_homology_invariants(
@@ -427,7 +425,8 @@ def build_presentation(k, ring=ZZ, grading="multi"):
 
 
 def _merge_relations(k, ring, entries, vec):
-    """Relation for an integer combination of per-J generating cycles."""
+    """Relation for an integer combination of per-J generating cycles: the
+    sum of the relations of its per-J cycles."""
     by_j = {}
     for coeff, (j_set, kappa, _) in zip(vec, entries):
         if ring.is_zero(coeff):
@@ -439,23 +438,20 @@ def _merge_relations(k, ring, entries, vec):
                 acc.pop(face, None)
             else:
                 acc[face] = val
-    poly = {}
-    parts = []
-    terms = []
-    degree = None
+    rels = []
     for j_set in sorted(by_j, key=_subset_mask):
-        faces = by_j[j_set]
-        kappa = SimplicialCycle(j=j_set, dimension=1,
-                                terms=tuple(sorted(faces.items(),
-                                                   key=lambda t: sorted(t[0]))))
-        parts.append((j_set, kappa))
-        p, t = _relation_data(k, ring, kappa)
-        accumulate(poly, p)
-        terms.extend(t)
-        degree = len(j_set)
-    poly, terms = _normalize_sign(ring, FreePolynomial(ring, poly), terms)
-    return Relation(degree=degree, poly=poly, parts=tuple(parts),
-                    terms=tuple(terms))
+        kappa = SimplicialCycle(j=j_set, dimension=1, terms=tuple(sorted(
+            by_j[j_set].items(), key=lambda t: sorted(t[0]))))
+        rels.append(relation_for_cycle(k, kappa, ring, normalize_sign=False))
+    if len(rels) == 1:
+        return _normalize_sign(rels[0])
+    poly = {}
+    for rel in rels:
+        accumulate(poly, rel.poly)
+    return _normalize_sign(Relation(
+        degree=rels[0].degree, poly=FreePolynomial._wrap(ring, poly),
+        parts=tuple(p for rel in rels for p in rel.parts),
+        terms=tuple(t for rel in rels for t in rel.terms)))
 
 
 # ---------------------------------------------------------------------------
@@ -563,30 +559,19 @@ def _chat_text(k, ring, j_set, i):
     return "(" + poly.render() + ")", False
 
 
-def render_relation(k, relation, ring=None):
-    """Commutator-shaped text of a relation: a signed sum of brackets of
-    rewritten generators; immediately-zero summands omitted."""
-    ring = ring or ZZ
+def render_relation(k, relation):
+    """Commutator-shaped text of a relation over its own ring: a signed sum
+    of brackets of rewritten generators; immediately-zero summands omitted."""
+    ring = relation.poly.ring
     bits = []
     for t in relation.terms:
         if not t.alive:
             continue
         ca, flip_a = _chat_text(k, ring, t.a_set | {t.i}, t.i)
         cb, flip_b = _chat_text(k, ring, t.b_set | {t.j}, t.j)
-        coeff = t.coeff
-        if flip_a:
-            coeff = ring.neg(coeff)
-        if flip_b:
-            coeff = ring.neg(coeff)
-        body = "[%s,%s]" % (ca, cb)
-        c = str(coeff)
-        if c == "1":
-            bits.append("+ " + body)
-        elif c == "-1":
-            bits.append("- " + body)
-        else:
-            bits.append("+ %s*%s" % (c, body) if not c.startswith("-")
-                        else "- %s*%s" % (c[1:], body))
+        coeff = ring.neg(t.coeff) if flip_a != flip_b else t.coeff
+        text = _render_term(coeff, "[%s,%s]" % (ca, cb))
+        bits.append("- " + text[1:] if text[0] == "-" else "+ " + text)
     if not bits:
         return "0 = 0"
     text = " ".join(bits)
@@ -623,7 +608,7 @@ def presentation_to_dict(presentation):
                 "cycle": [{"face": sorted(f), "coeff": str(c)}
                           for f, c in kappa.terms],
             } for j_set, kappa in rel.parts],
-            "rendered": render_relation(k, rel, ring),
+            "rendered": render_relation(k, rel),
             "terms": word_terms,
         })
     cert = presentation.counts_certificate

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import EmptySubset, NotFlag, VertexOutOfRange
+from .errors import EmptySubset, FaceOutsideJ, NotFlag, VertexOutOfRange
 from .exactlin import (
     ZZ,
     ExactMatrix,
@@ -310,6 +310,10 @@ def chain_boundary(k, cycle, ring=ZZ):
 
 
 def is_cycle(k, cycle, ring=ZZ):
+    """True iff the chain has zero boundary; a face outside ``cycle.j``
+    raises FaceOutsideJ, since the chain then lies in no K_J."""
+    if any(not face <= cycle.j for face, _ in cycle.terms):
+        raise FaceOutsideJ("chain leaves J=%s" % sorted(cycle.j))
     return not chain_boundary(k, cycle, ring)
 
 

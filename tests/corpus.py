@@ -44,6 +44,14 @@ def rp2_flag12():
         [5, 9, 10], [5, 10, 12], [6, 10, 11], [6, 10, 12]])
 
 
+def gnp_flag(m, seed, p=0.5):
+    """Clique complex of the seeded Erdos-Renyi graph G(m, p)."""
+    rng = random.Random(seed)
+    return clique_complex(m, [(i, j) for i in range(1, m + 1)
+                              for j in range(i + 1, m + 1)
+                              if rng.random() < p])
+
+
 def named_complexes():
     out = []
     for m in range(4, 9):

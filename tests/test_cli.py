@@ -1,16 +1,19 @@
 import hashlib
 import json
-import random
 
 import pytest
 
 import looppres.torbar as torbar
+from corpus import gnp_flag
 from looppres.cli import load_complex, main
 from looppres.exactlin import GF, ZZ
-from looppres.presentation import build_presentation, presentation_to_dict
+from looppres.presentation import (
+    build_presentation,
+    presentation_to_dict,
+    render_relation,
+)
 from looppres.simplicial import (
     all_subsets,
-    clique_complex,
     cycle_complex,
     octahedron,
     reduced_homology,
@@ -232,13 +235,6 @@ def test_analyze_rp2_torsion(tmp_path, capsys, ring):
     assert hashlib.sha256(out.encode()).hexdigest() == RP2_ANALYZE_SHA256[ring]
 
 
-def gnp_flag(m, seed, p=0.5):
-    rng = random.Random(seed)
-    return clique_complex(m, [(i, j) for i in range(1, m + 1)
-                              for j in range(i + 1, m + 1)
-                              if rng.random() < p])
-
-
 def verify_json(tmp_path, capsys, k, ring):
     path = write(tmp_path, "k.json", k.to_json_dict())
     code = main(["verify", path, "--json", "--ring", ring])
@@ -333,3 +329,14 @@ def test_presentation_json_pinned(tmp_path, capsys, name, ring, grading):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == \
         PRESENTATION_SHA256[(name, ring, grading)]
+
+
+@pytest.mark.parametrize("ring", ["F2", "F3"])
+def test_render_relation_over_fields_matches_cli(tmp_path, capsys, ring):
+    # the library renders a field relation over its own ring, as the CLI does
+    k = cycle_complex(5)
+    path = write(tmp_path, "k.json", k.to_json_dict())
+    assert main(["presentation", path, "--ring", ring]) == 0
+    printed = capsys.readouterr().out.splitlines()[-1].strip()
+    (rel,) = build_presentation(k, GF(int(ring[1:]))).relations
+    assert render_relation(k, rel) == printed

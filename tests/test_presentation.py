@@ -3,10 +3,17 @@ import random
 import sys
 import threading
 import weakref
+from dataclasses import replace
 
 import pytest
 
-from looppres.errors import NotACycle, NotFlag, PreconditionViolated
+from corpus import gnp_flag
+from looppres.errors import (
+    FaceOutsideJ,
+    NotACycle,
+    NotFlag,
+    PreconditionViolated,
+)
 from looppres.exactlin import GF, QQ, ZZ, ExactMatrix, cokernel_invariants
 from looppres.freealg import FreePolynomial, gptw_symbol, graded_commutator
 from looppres.pcalg import commutator_value, evaluate
@@ -189,6 +196,38 @@ def test_relation_rejects_bad_chains():
                                 terms=((frozenset({1, 2}), 1),))
     with pytest.raises(NotACycle):
         relation_for_cycle(PENTAGON, not_cycle)
+
+
+def test_relation_refuses_cycle_outside_j():
+    # the hexagon's generating cycle handed J = {1..5}: two edges meet 6
+    _, (kappa,) = reduced_homology(HEXAGON, range(1, 7), ZZ, degree=2)
+    outside = SimplicialCycle(j=frozenset(range(1, 6)), dimension=1,
+                              terms=kappa.terms)
+    with pytest.raises(FaceOutsideJ):
+        relation_for_cycle(HEXAGON, outside)
+
+
+@pytest.mark.parametrize("k", [PENTAGON, HEXAGON, gnp_flag(7, 1),
+                               gnp_flag(7, 2), gnp_flag(7, 3)],
+                         ids=["pentagon", "hexagon", "G(7,0.5) seed 1",
+                              "G(7,0.5) seed 2", "G(7,0.5) seed 3"])
+def test_relation_synthesis_is_ring_independent(k):
+    # over Q, F2 and F3 the relation of an integer cycle is the Z relation
+    # with its polynomial and term coefficients carried into the ring
+    checked = 0
+    for j_set in all_subsets(k.m):
+        if len(j_set) < 3:
+            continue
+        for kappa in reduced_homology(k, j_set, ZZ, degree=2)[1]:
+            want = relation_for_cycle(k, kappa, ZZ, normalize_sign=False)
+            for ring in (QQ, GF(2), GF(3)):
+                got = relation_for_cycle(k, kappa, ring, normalize_sign=False)
+                assert got == replace(
+                    want, poly=want.poly.convert_ring(ring),
+                    terms=tuple(replace(t, coeff=ring.from_int(t.coeff))
+                                for t in want.terms)), (sorted(j_set), ring)
+            checked += 1
+    assert checked
 
 
 def test_sign_normalization():

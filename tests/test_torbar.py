@@ -114,6 +114,16 @@ def test_g_map_examples():
         g_map(PENTAGON, {1, 3}, [(frozenset({1, 3}), 1)])  # not a face of K
 
 
+def test_bar_cycle_refuses_cycle_outside_j():
+    # the hexagon's generating cycle handed J = {1..5} is no chain of K_J
+    hexagon = cycle_complex(6)
+    _, (kappa,) = reduced_homology(hexagon, range(1, 7), ZZ, degree=2)
+    outside = SimplicialCycle(j=frozenset(range(1, 6)), dimension=1,
+                              terms=kappa.terms)
+    with pytest.raises(FaceOutsideJ):
+        bar_cycle(PCAlgebra(hexagon, ZZ), outside)
+
+
 def test_g_is_chain_map():
     rng = random.Random(13)
     checks = 0
