@@ -42,6 +42,7 @@ from .homotopy import (
 )
 from .pcalg import PCAlgebra, PCElement, commutator_value, evaluate, graded_dimensions
 from .presentation import (
+    Context,
     GptwGenerator,
     Presentation,
     Relation,

@@ -27,7 +27,6 @@ from .homotopy import (
 from .pcalg import PCAlgebra, graded_dimensions
 from .presentation import (
     build_presentation,
-    pc_algebra,
     presentation_to_dict,
     render_relation,
     verify_presentation,
@@ -146,7 +145,7 @@ def cmd_presentation(k, args, ring):
     for rel in pres.relations:
         js = ",".join(str(sorted(j)) for j, _ in rel.parts)
         print("  deg %-3d (J=%s)" % (rel.degree, js))
-        print("    %s" % render_relation(k, rel))
+        print("    %s" % render_relation(pres.context, rel))
     return EXIT_OK
 
 
@@ -201,7 +200,7 @@ def cmd_verify(k, args, ring):
     report = verify_presentation(k, pres)
     checks = list(report.checks)
 
-    alg = pc_algebra(k, ring)
+    alg = pres.context.algebra(ring)
     tor_rows = []
     cycles_total = cycles_ok = 0
     for j in all_subsets(k.m)[1:]:  # every nonempty J

@@ -63,9 +63,6 @@ class CoefficientRing:
     def add(self, a, b):
         return (a + b) % self.p if self.kind == "Fp" else a + b
 
-    def sub(self, a, b):
-        return (a - b) % self.p if self.kind == "Fp" else a - b
-
     def mul(self, a, b):
         return (a * b) % self.p if self.kind == "Fp" else a * b
 

@@ -19,9 +19,10 @@ smallest vertex of i's component (different component):
 3. different component: rank 0 means i is a generator index; otherwise
    reduce the rank exactly as in case 2, walking towards min(component).
 
-Results are memoized per complex and are ring-independent (all coefficients
-are +-1 sums over Z).  Relation synthesis sums the brackets of each edge of
-a cycle over Z and brings the sum into the coefficient ring once.
+Results are ring-independent (+-1 sums over Z) and memoized in a ``Context``,
+one per computation, which every function taking the complex also takes.
+Relation synthesis sums each edge's brackets over Z and brings them into the
+ring once.
 """
 
 from __future__ import annotations
@@ -55,14 +56,29 @@ from .simplicial import (
 )
 
 
+class Context:
+    """One computation's flag complex (checked once) and memos."""
+
+    def __init__(self, k):
+        require_flag(k)
+        self.complex = k
+        self.rewrites = {}  # (J, i) -> rewrite_chat
+        self.chat_texts = {}  # (ring, J, i) -> _chat_text
+        self.algebra_by_ring = {}
+
+    def algebra(self, ring):  # setdefault: racing threads get one k[K]^!
+        if ring not in self.algebra_by_ring:
+            self.algebra_by_ring.setdefault(ring, PCAlgebra(self.complex, ring))
+        return self.algebra_by_ring[ring]
+
+
+def _context(k):
+    return k if isinstance(k, Context) else Context(k)
+
+
 def pc_algebra(k, ring=ZZ):
-    """The one k[K]^! over ``ring``, kept on the complex beside its rewrite
-    memo, so it lives exactly as long as the complex; setdefault hands
-    racing threads the same algebra."""
-    algebra = k._algebras.get(ring)
-    if algebra is None:
-        algebra = k._algebras.setdefault(ring, PCAlgebra(k, ring))
-    return algebra
+    """k[K]^! over ``ring``: the context's own when ``k`` is a Context."""
+    return _context(k).algebra(ring)
 
 
 # ---------------------------------------------------------------------------
@@ -87,13 +103,13 @@ def _subset_mask(j_set):
 
 def gptw_generators(k, ring=ZZ):
     """All generators, ordered by (|J|, J bitmask, i); values in k[K]^!."""
-    require_flag(k)
-    algebra = pc_algebra(k, ring)
+    ctx = _context(k)
+    algebra = ctx.algebra(ring)
     out = []
-    for j_set in all_subsets(k.m):
+    for j_set in all_subsets(ctx.complex.m):
         if len(j_set) < 2:
             continue
-        for i in sorted(theta_set(k, j_set)):
+        for i in sorted(theta_set(ctx.complex, j_set)):
             value = commutator_value(algebra, j_set - {i}, i)
             assert not value.is_zero(), (sorted(j_set), i)
             out.append(GptwGenerator(j_set=j_set, i=i,
@@ -112,54 +128,54 @@ def gptw_assignment(k, ring=ZZ):
 # the rewriting engine
 # ---------------------------------------------------------------------------
 
-_IN_PROGRESS = threading.local()  # .calls: this thread's (id(k), J, i) set
+_IN_PROGRESS = threading.local()  # .calls: this thread's (ctx, J, i) set
 
 
 def rewrite_chat(k, j_set, i):
     """c(J \\ i, u_i) as an integer polynomial in generator symbols.
 
-    Memoized on the complex; calls in progress are tracked per thread, so
+    Memoized in the context; calls in progress are tracked per thread, so
     concurrent calls are safe.  Requires |J| >= 2: for J = {i} the element
     u_i does not lie in the loop homology subalgebra at all.
     """
-    require_flag(k)
+    ctx = _context(k)
     j_set = frozenset(j_set)
     if i not in j_set:
         raise PreconditionViolated("i=%d not in J=%s" % (i, sorted(j_set)))
     if len(j_set) < 2:
         raise PreconditionViolated("rewriting needs |J| >= 2")
-    memo = k._rewrite_memo
+    memo = ctx.rewrites
     key = (j_set, i)
     if key in memo:
         return memo[key]
     in_progress = vars(_IN_PROGRESS).setdefault("calls", set())
-    call = (id(k), j_set, i)
+    call = (ctx, j_set, i)
     if call in in_progress:
         raise AssertionError("rewrite recursion cycle at %r" % (key,))
     in_progress.add(call)
     try:
-        result = _rewrite_uncached(k, j_set, i)
+        result = _rewrite_uncached(ctx, j_set, i)
     finally:
         in_progress.discard(call)
     memo[key] = result
     return result
 
 
-def _rewrite_uncached(k, j_set, i):
+def _rewrite_uncached(ctx, j_set, i):
     top = max(j_set)
     if i == top:
-        return rewrite_chat(k, j_set, max(j_set - {i}))
-    comp = next(c for c in path_components(k, j_set) if i in c)
+        return rewrite_chat(ctx, j_set, max(j_set - {i}))
+    comp = next(c for c in path_components(ctx.complex, j_set) if i in c)
     if top in comp:
-        if top in k.adjacency[i]:
+        if top in ctx.complex.adjacency[i]:
             return FreePolynomial.zero(ZZ)
-        neighbor = _first_edge_of_shortest_path(k, j_set, i, top)
-        return _solve_rearrangement(k, j_set, i, neighbor)
+        neighbor = _first_edge_of_shortest_path(ctx.complex, j_set, i, top)
+        return _solve_rearrangement(ctx, j_set, i, neighbor)
     anchor = min(comp)
     if i == anchor:
         return FreePolynomial.generator(gptw_symbol(j_set, i), ZZ)
-    neighbor = _first_edge_of_shortest_path(k, j_set, i, anchor)
-    return _solve_rearrangement(k, j_set, i, neighbor)
+    neighbor = _first_edge_of_shortest_path(ctx.complex, j_set, i, anchor)
+    return _solve_rearrangement(ctx, j_set, i, neighbor)
 
 
 def _first_edge_of_shortest_path(k, j_set, source, target):
@@ -188,7 +204,7 @@ def _first_edge_of_shortest_path(k, j_set, source, target):
     return path[1]
 
 
-def _solve_rearrangement(k, j_set, i, neighbor):
+def _solve_rearrangement(ctx, j_set, i, neighbor):
     """Solve the rearrangement identity for c(J\\i, u_i), given an edge
     {i, neighbor} of K_J whose bracket [u_a, u_b] vanishes.
 
@@ -213,10 +229,10 @@ def _solve_rearrangement(k, j_set, i, neighbor):
     out = {}
     for a_set, b_set in ordered_splits(j_set - {a, b}, (a, b)):
         sign = (koszul_theta(a_set, b_set) + len(b_set)) % 2
-        term = graded_commutator(rewrite_chat(k, a_set | {a}, a),
-                                 rewrite_chat(k, b_set | {b}, b))
+        term = graded_commutator(rewrite_chat(ctx, a_set | {a}, a),
+                                 rewrite_chat(ctx, b_set | {b}, b))
         accumulate(out, term, -tail if sign else tail)
-    accumulate(out, rewrite_chat(k, j_set, other), lead)
+    accumulate(out, rewrite_chat(ctx, j_set, other), lead)
     return FreePolynomial(ZZ, out)
 
 
@@ -298,17 +314,17 @@ def relation_for_cycle(k, kappa, ring=ZZ, normalize_sign=True):
     (-1)^{|J_<i|+|J_<j|} lambda_{ij}.  The polynomial evaluates to zero in
     k[K]^!.
     """
-    require_flag(k)
+    ctx = _context(k)
     j_set = frozenset(kappa.j)
     if kappa.dimension != 1 or any(len(f) != 2 for f, _ in kappa.terms):
         raise NotACycle("relation synthesis needs a chain of edges")
-    if not is_cycle(k, kappa, ring):
+    if not is_cycle(ctx.complex, kappa, ring):
         raise NotACycle("chain has nonzero boundary")
     poly = {}
     terms = []
     for face, lam in kappa.terms:
         i, j = sorted(face)
-        if not k.has_face(face):
+        if not ctx.complex.has_face(face):
             raise NotACycle("edge %s not in K" % sorted(face))
         eps = (-1) ** (sum(1 for v in j_set if v < i)
                        + sum(1 for v in j_set if v < j))
@@ -316,14 +332,14 @@ def relation_for_cycle(k, kappa, ring=ZZ, normalize_sign=True):
         edge_sum = {}
         for a_set, b_set in ordered_splits(j_set - face, (i, j)):
             odd = (koszul_theta(a_set, b_set) + len(a_set)) % 2
-            alive = (i not in k.adjacency[max(a_set)]
-                     and j not in k.adjacency[max(b_set)])
+            alive = (i not in ctx.complex.adjacency[max(a_set)]
+                     and j not in ctx.complex.adjacency[max(b_set)])
             terms.append(CommutatorTerm(
                 j_set=j_set, i=i, j=j, a_set=a_set, b_set=b_set,
                 coeff=ring.neg(base) if odd else base, alive=alive))
             accumulate(edge_sum,
-                       graded_commutator(rewrite_chat(k, a_set | {i}, i),
-                                         rewrite_chat(k, b_set | {j}, j)),
+                       graded_commutator(rewrite_chat(ctx, a_set | {i}, i),
+                                         rewrite_chat(ctx, b_set | {j}, j)),
                        -1 if odd else 1)
         accumulate(poly, FreePolynomial._wrap(ZZ, edge_sum).convert_ring(ring),
                    base)
@@ -357,6 +373,7 @@ class Presentation:
     generators: list
     relations: list
     counts_certificate: PresentationCertificate
+    context: Context = field(compare=False, repr=False)
 
 
 def _certificate(k):
@@ -385,19 +402,20 @@ def build_presentation(k, ring=ZZ, grading="multi"):
     """
     if grading not in ("multi", "z"):
         raise ValueError("grading must be 'multi' or 'z'")
-    require_flag(k)
-    generators = gptw_generators(k, ring)
-    cert = _certificate(k)
+    ctx = _context(k)
+    generators = gptw_generators(ctx, ring)
+    cert = _certificate(ctx.complex)
 
     # one block of (J, cycle, invariant factor) entries per J (multigraded)
     # or per |J| (z-graded); Smith reduction of the block's factors merges
     # its cycles, and each merged relation sums relation_for_cycle over J
     groups = {}
-    for j_set in all_subsets(k.m):
-        if len(j_set) < 3 or reduced_homology_invariants(
-                k, j_set, ring, degree=2).is_zero():
-            continue  # lift cycles only where H_1(K_J) != 0
-        inv, cycles = reduced_homology(k, j_set, ring, degree=2)
+    for j_set in all_subsets(ctx.complex.m):
+        if len(j_set) < 3:
+            continue
+        inv, cycles = reduced_homology(ctx.complex, j_set, ring, degree=2)
+        if inv.is_zero():
+            continue
         cert.h1_gens_by_j[j_set] = inv.gen_count()
         key = j_set if grading == "multi" else len(j_set)
         groups.setdefault(key, []).extend(
@@ -415,13 +433,13 @@ def build_presentation(k, ring=ZZ, grading="multi"):
         cert.rel_count_by_degree[n] = \
             cert.rel_count_by_degree.get(n, 0) + merged.gen_count()
         for vec in merged.generators:
-            relations.append(_merge_relations(k, ring, entries, vec))
+            relations.append(_merge_relations(ctx, ring, entries, vec))
     relations.sort(key=lambda r: (r.degree,
                                   sorted(_subset_mask(j) for j, _ in r.parts)))
     assert len(generators) == cert.total_generators()
-    return Presentation(complex=k, ring=ring, grading=grading,
+    return Presentation(complex=ctx.complex, ring=ring, grading=grading,
                         generators=generators, relations=relations,
-                        counts_certificate=cert)
+                        counts_certificate=cert, context=ctx)
 
 
 def _merge_relations(k, ring, entries, vec):
@@ -481,9 +499,12 @@ def verify_presentation(k, presentation):
     (4) generator and relation counts match the homology certificate.
     Failures are reported, never raised.
     """
+    ctx = presentation.context  # reused when built on k
+    if ctx.complex != k:
+        ctx = _context(k)
     ring = presentation.ring
-    algebra = pc_algebra(k, ring)
-    assignment = gptw_assignment(k, ring)
+    algebra = ctx.algebra(ring)
+    assignment = gptw_assignment(ctx, ring)
     checks = []
 
     bad = [g for g in presentation.generators
@@ -494,12 +515,12 @@ def verify_presentation(k, presentation):
                                     len(presentation.generators))))
 
     total = failed = 0
-    for j_set in all_subsets(k.m):
+    for j_set in all_subsets(ctx.complex.m):
         if len(j_set) < 2:
             continue
         for i in sorted(j_set):
             total += 1
-            value = evaluate(rewrite_chat(k, j_set, i).convert_ring(ring),
+            value = evaluate(rewrite_chat(ctx, j_set, i).convert_ring(ring),
                              algebra, assignment)
             if value != commutator_value(algebra, j_set - {i}, i):
                 failed += 1
@@ -548,27 +569,33 @@ def is_free_loop_algebra(k, ring=ZZ):
 # rendering and serialization
 # ---------------------------------------------------------------------------
 
-def _chat_text(k, ring, j_set, i):
-    poly = rewrite_chat(k, j_set, i).convert_ring(ring)
+def _chat_text(ctx, ring, j_set, i):
+    key = (ring, j_set, i)  # rendered once per context
+    if key in ctx.chat_texts:
+        return ctx.chat_texts[key]
+    poly = rewrite_chat(ctx, j_set, i).convert_ring(ring)
+    text = "(" + poly.render() + ")", False
     if len(poly.terms) == 1:
         ((word, coeff),) = poly.terms.items()
         if len(word) == 1 and coeff == ring.one():
-            return word[0].render(), False
-        if len(word) == 1 and coeff == ring.from_int(-1):
-            return word[0].render(), True
-    return "(" + poly.render() + ")", False
+            text = word[0].render(), False
+        elif len(word) == 1 and coeff == ring.from_int(-1):
+            text = word[0].render(), True
+    ctx.chat_texts[key] = text
+    return text
 
 
 def render_relation(k, relation):
     """Commutator-shaped text of a relation over its own ring: a signed sum
     of brackets of rewritten generators; immediately-zero summands omitted."""
+    ctx = _context(k)
     ring = relation.poly.ring
     bits = []
     for t in relation.terms:
         if not t.alive:
             continue
-        ca, flip_a = _chat_text(k, ring, t.a_set | {t.i}, t.i)
-        cb, flip_b = _chat_text(k, ring, t.b_set | {t.j}, t.j)
+        ca, flip_a = _chat_text(ctx, ring, t.a_set | {t.i}, t.i)
+        cb, flip_b = _chat_text(ctx, ring, t.b_set | {t.j}, t.j)
         coeff = ring.neg(t.coeff) if flip_a != flip_b else t.coeff
         text = _render_term(coeff, "[%s,%s]" % (ca, cb))
         bits.append("- " + text[1:] if text[0] == "-" else "+ " + text)
@@ -608,7 +635,7 @@ def presentation_to_dict(presentation):
                 "cycle": [{"face": sorted(f), "coeff": str(c)}
                           for f, c in kappa.terms],
             } for j_set, kappa in rel.parts],
-            "rendered": render_relation(k, rel),
+            "rendered": render_relation(presentation.context, rel),
             "terms": word_terms,
         })
     cert = presentation.counts_certificate

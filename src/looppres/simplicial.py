@@ -70,9 +70,6 @@ class SimplicialComplex:
             adj[a].add(b)
             adj[b].add(a)
         self.adjacency = {i: frozenset(s) for i, s in adj.items()}
-        self._rewrite_memo = {}
-        self._algebras = {}  # ring -> PCAlgebra, see presentation.pc_algebra
-        self._flag_cache = None
 
     # -- queries --
     def has_face(self, subset):
@@ -149,14 +146,6 @@ def is_flag(k):
     1-skeleton, so we walk cliques of the adjacency graph and look for one
     that is not a face.
     """
-    if k._flag_cache is not None:
-        return k._flag_cache
-    result = _is_flag_uncached(k)
-    k._flag_cache = result
-    return result
-
-
-def _is_flag_uncached(k):
     adj = k.adjacency
     cliques = [frozenset([i, j]) for i in k.vertices() for j in adj[i] if i < j]
     while cliques:
@@ -222,8 +211,17 @@ def full_subcomplex(k, j):
     return sub
 
 
-def faces_within(k, j, size):
+def _vertex_subset(k, j):
+    """J as a frozenset, refused with VertexOutOfRange unless J lies in [m]."""
     j = frozenset(j)
+    for v in j:
+        if not 1 <= v <= k.m:
+            raise VertexOutOfRange("vertex %r not in [1..%d]" % (v, k.m))
+    return j
+
+
+def faces_within(k, j, size):
+    j = _vertex_subset(k, j)
     return [f for f in k.faces_of_size(size) if f <= j]
 
 
@@ -232,7 +230,7 @@ def path_components(k, j):
 
     Returned as sorted tuples, ordered by smallest vertex.
     """
-    jset = frozenset(j)
+    jset = _vertex_subset(k, j)
     seen = set()
     comps = []
     for start in sorted(jset):
@@ -327,9 +325,11 @@ def reduced_homology(k, j, ring=ZZ, degree=1):
     """
     j = frozenset(j)
     n = degree
-    d1 = boundary_matrix(k, j, n, ring)
-    d2 = boundary_matrix(k, j, n + 1, ring)
-    inv = homology_with_representatives(d1, d2, ring)
+    diffs = [boundary_matrix(k, j, s) for s in (n, n + 1)]
+    inv = chain_homology_invariants(diffs, ring)[0]
+    if not inv.is_zero():  # lift cycles, over ring, only when there are any
+        inv = homology_with_representatives(*(
+            ExactMatrix.from_rows(d.data, ring, cols=d.cols) for d in diffs))
     basis = faces_within(k, j, n)
     cycles = []
     for vec in inv.generators:

@@ -52,6 +52,23 @@ def gnp_flag(m, seed, p=0.5):
                               if rng.random() < p])
 
 
+def join(k1, k2):
+    """The join K1 * K2 on vertices 1..m1 and m1+1..m1+m2: the clique complex
+    of the graph join, which for flag K1 and K2 is their simplicial join."""
+    m1 = k1.m
+    edges = k1.edges() + [(a + m1, b + m1) for a, b in k2.edges()]
+    edges += [(a, b + m1) for a in k1.vertices() for b in k2.vertices()]
+    return clique_complex(m1 + k2.m, edges)
+
+
+def relabelled(k, seed):
+    """K with its vertices renamed by a seeded permutation of [m]."""
+    perm = list(k.vertices())
+    random.Random(seed).shuffle(perm)
+    return SimplicialComplex(k.m, [[perm[v - 1] for v in f]
+                                   for f in k.facets])
+
+
 def named_complexes():
     out = []
     for m in range(4, 9):

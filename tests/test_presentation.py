@@ -13,11 +13,13 @@ from looppres.errors import (
     NotACycle,
     NotFlag,
     PreconditionViolated,
+    VertexOutOfRange,
 )
 from looppres.exactlin import GF, QQ, ZZ, ExactMatrix, cokernel_invariants
 from looppres.freealg import FreePolynomial, gptw_symbol, graded_commutator
 from looppres.pcalg import commutator_value, evaluate
 from looppres.presentation import (
+    Context,
     Relation,
     build_presentation,
     gptw_assignment,
@@ -33,13 +35,18 @@ from looppres.presentation import (
 from looppres.simplicial import (
     SimplicialCycle,
     all_subsets,
+    boundary_matrix,
     clique_complex,
     cycle_complex,
     disjoint_points,
     path_complex,
+    path_components,
+    reduced_betti0,
     reduced_homology,
+    reduced_homology_invariants,
     rp2_minimal,
     simplex,
+    theta_set,
 )
 
 PENTAGON = cycle_complex(5)
@@ -371,15 +378,15 @@ def test_random_flag_presentations_verify():
 
 
 def test_concurrent_builds_of_one_complex():
-    # the threads share the complex's rewrite memo; none may mistake a call
+    # the threads share one context's rewrite memo; none may mistake a call
     # in progress on another thread for a recursion cycle (two fresh
-    # complexes, because the race is lost only some of the time)
-    for k in (cycle_complex(7), cycle_complex(7)):
+    # contexts, because the race is lost only some of the time)
+    for ctx in (Context(cycle_complex(7)), Context(cycle_complex(7))):
         results, errors = [None] * 4, []
 
         def build(t):
             try:
-                results[t] = presentation_to_dict(build_presentation(k, ZZ))
+                results[t] = presentation_to_dict(build_presentation(ctx, ZZ))
             except Exception as exc:  # reported by the assertion below
                 errors.append(exc)
 
@@ -401,28 +408,32 @@ def test_concurrent_builds_of_one_complex():
 
 
 def test_dropped_complex_is_collected():
-    # the algebra and the rewrite memo live on the complex, so nothing
-    # process-wide keeps a complex alive once its caller lets go of it
+    # the algebras and the rewrite memo live in the context, so nothing
+    # process-wide keeps a complex alive once its caller lets go of the
+    # complex, its context and the presentation built in that context
     k = cycle_complex(6)
+    ctx = Context(k)
     for ring in (ZZ, GF(3)):
-        assert pc_algebra(k, ring) is pc_algebra(k, ring)
-    assert pc_algebra(k, ZZ) is not pc_algebra(k, GF(3))
-    report = verify_presentation(k, build_presentation(k, ZZ))
+        assert pc_algebra(ctx, ring) is pc_algebra(ctx, ring)
+    assert pc_algebra(ctx, ZZ) is not pc_algebra(ctx, GF(3))
+    pres = build_presentation(ctx, ZZ)
+    assert pres.context is ctx
+    report = verify_presentation(k, pres)
     assert report.ok
-    ref = weakref.ref(k)
-    del k, report
+    refs = [weakref.ref(obj) for obj in (k, ctx, pres)]
+    del k, ctx, pres, report
     gc.collect()
-    assert ref() is None
+    assert all(ref() is None for ref in refs)
 
 
 def test_racing_threads_share_one_algebra():
-    k = cycle_complex(5)
+    ctx = Context(cycle_complex(5))
     barrier = threading.Barrier(8)
     got = [None] * 8
 
     def fetch(t):
         barrier.wait(timeout=60)
-        got[t] = pc_algebra(k, GF(5))  # equal rings, distinct objects
+        got[t] = ctx.algebra(GF(5))  # equal rings, distinct objects
 
     threads = [threading.Thread(target=fetch, args=(t,)) for t in range(8)]
     interval = sys.getswitchinterval()
@@ -436,3 +447,53 @@ def test_racing_threads_share_one_algebra():
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert got[0] is not None and all(a is got[0] for a in got)
+
+
+@pytest.mark.parametrize("j_set", [{1, 3, 9}, {0, 1, 3}])
+def test_subset_outside_vertex_range_is_refused(j_set):
+    # J must lie in [m]; before, the first four raised a bare KeyError and
+    # the homology calls silently answered for J minus the stray vertex
+    calls = [
+        lambda: rewrite_chat(PENTAGON, j_set, 1),
+        lambda: theta_set(PENTAGON, j_set),
+        lambda: reduced_betti0(PENTAGON, j_set),
+        lambda: path_components(PENTAGON, j_set),
+        lambda: reduced_homology(PENTAGON, j_set, ZZ, degree=1),
+        lambda: reduced_homology_invariants(PENTAGON, j_set, ZZ, degree=1),
+        lambda: boundary_matrix(PENTAGON, j_set, 2),
+    ]
+    for call in calls:
+        with pytest.raises(VertexOutOfRange):
+            call()
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(2), QQ], ids=repr)
+@pytest.mark.parametrize("name", ["pentagon", "hexagon", "gnp-7-0.4-1"])
+def test_context_and_complex_give_the_same_presentation(name, ring):
+    k = {"pentagon": PENTAGON, "hexagon": HEXAGON,
+         "gnp-7-0.4-1": gnp_flag(7, 1, p=0.4)}[name]
+    bare = build_presentation(k, ring)
+    ctx = Context(k)
+    shared = build_presentation(ctx, ring)
+    assert shared.context is ctx and bare.context is not ctx
+    assert presentation_to_dict(shared) == presentation_to_dict(bare)
+    for rel in bare.relations:
+        assert render_relation(ctx, rel) == render_relation(k, rel)
+    bare_report = verify_presentation(k, bare)
+    assert bare_report.ok, bare_report.summary()
+    assert verify_presentation(ctx, shared).checks == bare_report.checks
+
+
+def test_complex_holds_no_memo_state():
+    k = cycle_complex(6)
+    fields = set(vars(k))
+    assert fields == {"m", "facets", "_faces", "_faces_by_size", "adjacency"}
+    for ring in (ZZ, GF(3)):
+        pres = build_presentation(k, ring)
+        for rel in pres.relations:
+            render_relation(k, rel)
+        presentation_to_dict(pres)
+        assert verify_presentation(k, pres).ok
+        rewrite_chat(k, frozenset({1, 3, 5}), 3)
+        pc_algebra(k, ring)
+    assert set(vars(k)) == fields
