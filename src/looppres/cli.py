@@ -39,7 +39,6 @@ from .simplicial import (
     f_h_vectors,
     is_flag,
     reduced_betti0,
-    reduced_homology,
     reduced_homology_invariants,
 )
 from .torbar import bar_cycle, koszul_invariants, verify_bar_cycle
@@ -212,7 +211,7 @@ def cmd_verify(k, args, ring):
             tor_rows.append(False)
         for n in (1, 2, 3):  # lift cycles only where H_{n-1}(K_J) != 0
             if n < len(simp) and not simp[n].is_zero():
-                for kappa in reduced_homology(k, j, ring, degree=n)[1]:
+                for kappa in pres.context.homology(j, ring, n)[1]:
                     cycles_total += 1
                     cycles_ok += verify_bar_cycle(bar_cycle(alg, kappa))
     checks.append(("Tor strand cross-check", all(tor_rows),

@@ -17,6 +17,15 @@ not adjacent to x ends the scan; x goes in just before the leftmost scanned
 letter larger than x (at the end if there is none), and the sign flips once
 for each letter x jumps.
 
+Squarefree model.  A word with distinct letters and support J induces an
+orientation O of the non-edges of K_J; two words inducing O differ by swaps
+of K-adjacent neighbours, so f_O = (-1)^inv(w) [w] depends on O alone
+(Cartier-Foata 1969; Diekert-Rozenberg, The Book of Traces, 1995).  For
+disjoint supports f_O1 f_O2 = s(A,B) f_(O1|O2|X(A,B)): X(A,B) orients each
+non-edge {a<b}, a in A, b in B, from a to b, and s(A,B) is
+(-1)^#{a in A, b in B : a > b}.  ``SquarefreeModel`` multiplies with one OR
+and one sign per pair of terms; ``verify_presentation`` works in it.
+
 Graded dimensions count the paths of the automaton of normal words, whose
 state is the set of letters that may still be appended to the word.
 
@@ -27,11 +36,13 @@ construction tensors downstream.
 from .errors import (
     AlgebraMismatch,
     NotHomogeneous,
+    PreconditionViolated,
     RingMismatch,
     UnboundSymbol,
     VertexOutOfRange,
 )
 from .exactlin import ZZ
+from .freealg import FreePolynomial
 from .simplicial import require_flag
 
 
@@ -294,6 +305,128 @@ def commutator_value(algebra, prefix, i):
         value = algebra.generator(i)
     algebra._cvalue_cache[key] = value
     return value
+
+
+# ---------------------------------------------------------------------------
+# the squarefree model
+# ---------------------------------------------------------------------------
+
+class SquarefreeModel:
+    """k[K]^! in squarefree multidegrees, on signed acyclic orientations.
+
+    An element is a dict {support: {orientation: coefficient}} with no zero
+    coefficient or empty support.  Vertex v is bit v of a support; non-edge
+    {a<b} of K has one orientation bit, set when a comes before b.
+    """
+
+    def __init__(self, algebra):
+        self.algebra, self.p = algebra, algebra.ring.p  # p: None over Z, Q
+        m, adj = algebra.m, algebra.adjacent
+        self._bit = {pair: 1 << n for n, pair in enumerate(
+            (a, b) for a in range(1, m + 1) for b in range(a + 1, m + 1)
+            if b not in adj[a])}
+        self._cross = {}  # (A, B) -> (X(A, B), s(A, B))
+        self._cvalues = {}
+
+    def generator(self, i):
+        return {1 << i: {0: self.algebra.ring.one()}}
+
+    def accumulate(self, acc, x, coeff=1):
+        """acc += coeff * x in place; cancelled terms are dropped."""
+        for support, terms in x.items():
+            row = acc.setdefault(support, {})
+            for o, c in terms.items():
+                v = row.get(o, 0) + coeff * c
+                row[o] = v % self.p if self.p else v
+                if not row[o]:
+                    del row[o]
+            if not row:
+                del acc[support]
+
+    def _cross_of(self, a_mask, b_mask):
+        pairs = [(a, b) for a in range(self.algebra.m + 1) if a_mask >> a & 1
+                 for b in range(self.algebra.m + 1) if b_mask >> b & 1]
+        return self._cross.setdefault((a_mask, b_mask), (
+            sum(self._bit.get(pair, 0) for pair in pairs),  # distinct bits
+            -1 if sum(a > b for a, b in pairs) % 2 else 1))
+
+    def mul(self, x, y):
+        """x * y, or None if a support of x meets one of y."""
+        out = {}
+        for a, xa in x.items():
+            for b, yb in y.items():
+                if a & b:
+                    return None
+                bits, s = self._cross.get((a, b)) or self._cross_of(a, b)
+                t = {o1 | o2 | bits: s * c1 * c2
+                     for o1, c1 in xa.items() for o2, c2 in yb.items()}
+                if self.p:
+                    t = {o: c % self.p for o, c in t.items()}
+                if a | b in out:
+                    self.accumulate(out, {a | b: t})
+                else:
+                    out[a | b] = t
+        return out
+
+    def from_element(self, element):
+        """The image of a PCElement whose words repeat no letter:
+        [w] = (-1)^inv(w) f_O for the orientation O that w induces."""
+        if element.algebra != self.algebra:
+            raise AlgebraMismatch("element of another algebra")
+        out = {}
+        for word, c in element.terms:
+            if len(set(word)) != len(word):
+                raise PreconditionViolated("%r repeats a letter" % (word,))
+            pairs = [(a, b) for n, a in enumerate(word) for b in word[n + 1:]]
+            self.accumulate(out, {sum(1 << v for v in word): {
+                sum(self._bit.get(pair, 0) for pair in pairs): c}},
+                -1 if sum(a > b for a, b in pairs) % 2 else 1)
+        return out
+
+    def commutator(self, prefix, i):
+        """c(prefix, u_i), by the recursion of ``commutator_value``."""
+        key = (frozenset(prefix), i)
+        if key not in self._cvalues:
+            value = self.generator(i)
+            if key[0]:
+                a = min(key[0])
+                inner = self.commutator(key[0] - {a}, i)
+                value = self.mul(self.generator(a), inner)
+                self.accumulate(value, self.mul(inner, self.generator(a)),
+                                1 if len(key[0]) % 2 else -1)
+            self._cvalues[key] = value
+        return self._cvalues[key]
+
+    def evaluate(self, poly, binding):
+        """``evaluate`` with composite symbols bound to model elements; also
+        returns the polynomial of the words that leave the model."""
+        if poly.ring != self.algebra.ring:
+            raise RingMismatch("polynomial ring %r vs model ring %r"
+                               % (poly.ring, self.algebra.ring))
+        prefixes = {(): {0: {0: self.algebra.ring.one()}}}
+
+        def value(word):
+            if word in prefixes:
+                return prefixes[word]
+            factor = prefixes[word[:-1]] = value(word[:-1])
+            sym = word[-1]
+            if not factor:  # zero, or outside the model
+                return factor
+            if sym.kind == "u":
+                return self.mul(factor, self.generator(sym.i))
+            if sym not in binding:
+                raise UnboundSymbol("no value bound for %s" % sym.render())
+            return self.mul(factor, binding[sym])
+
+        acc, rest = {}, {}
+        for word, coeff in poly.terms.items():
+            v = value(word)
+            if v is None:
+                rest[word] = coeff
+            else:
+                self.accumulate(acc, v, coeff)
+        prefixes.clear()  # value() refers to itself: free now, not at next GC
+        return acc, FreePolynomial._wrap(poly.ring, rest)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from .freealg import (
     ordered_splits,
     word_sort_key,
 )
-from .pcalg import PCAlgebra, commutator_value, evaluate
+from .pcalg import PCAlgebra, SquarefreeModel, commutator_value, evaluate
 from .simplicial import (
     SimplicialCycle,
     all_subsets,
@@ -65,11 +65,30 @@ class Context:
         self.rewrites = {}  # (J, i) -> rewrite_chat
         self.chat_texts = {}  # (ring, J, i) -> _chat_text
         self.algebra_by_ring = {}
+        self.model_by_ring = {}
+        self.cycles = {}  # (ring, J, degree) -> nonzero reduced_homology
 
     def algebra(self, ring):  # setdefault: racing threads get one k[K]^!
         if ring not in self.algebra_by_ring:
             self.algebra_by_ring.setdefault(ring, PCAlgebra(self.complex, ring))
         return self.algebra_by_ring[ring]
+
+    def model(self, ring):
+        """The squarefree model of ``algebra(ring)``."""
+        if ring not in self.model_by_ring:
+            self.model_by_ring.setdefault(
+                ring, SquarefreeModel(self.algebra(ring)))
+        return self.model_by_ring[ring]
+
+    def homology(self, j_set, ring, degree):
+        """``reduced_homology`` of K_J; a nonzero one is kept for reuse."""
+        key = (ring, j_set, degree)
+        if key in self.cycles:
+            return self.cycles[key]
+        result = reduced_homology(self.complex, j_set, ring, degree=degree)
+        if result[0].is_zero():
+            return result
+        return self.cycles.setdefault(key, result)
 
 
 def _context(k):
@@ -413,7 +432,7 @@ def build_presentation(k, ring=ZZ, grading="multi"):
     for j_set in all_subsets(ctx.complex.m):
         if len(j_set) < 3:
             continue
-        inv, cycles = reduced_homology(ctx.complex, j_set, ring, degree=2)
+        inv, cycles = ctx.homology(j_set, ring, 2)
         if inv.is_zero():
             continue
         cert.h1_gens_by_j[j_set] = inv.gen_count()
@@ -497,15 +516,23 @@ def verify_presentation(k, presentation):
     (2) every rewrite_chat(J, i), |J| >= 2, evaluates to c(J\\i, u_i);
     (3) every relation polynomial evaluates to zero;
     (4) generator and relation counts match the homology certificate.
+    (2) and (3) run in the squarefree model, each symbol bound to the image
+    of its generator value; words leaving it must vanish in k[K]^! apart.
     Failures are reported, never raised.
     """
     ctx = presentation.context  # reused when built on k
     if ctx.complex != k:
         ctx = _context(k)
     ring = presentation.ring
-    algebra = ctx.algebra(ring)
+    algebra, model = ctx.algebra(ring), ctx.model(ring)
     assignment = gptw_assignment(ctx, ring)
+    binding = {sym: model.from_element(v) for sym, v in assignment.items()}
     checks = []
+
+    def evaluates_to(poly, target):
+        value, rest = model.evaluate(poly, binding)
+        return value == target and (
+            not rest.terms or evaluate(rest, algebra, assignment).is_zero())
 
     bad = [g for g in presentation.generators
            if g.value != commutator_value(algebra, g.j_set - {g.i}, g.i)
@@ -520,17 +547,14 @@ def verify_presentation(k, presentation):
             continue
         for i in sorted(j_set):
             total += 1
-            value = evaluate(rewrite_chat(ctx, j_set, i).convert_ring(ring),
-                             algebra, assignment)
-            if value != commutator_value(algebra, j_set - {i}, i):
+            if not evaluates_to(rewrite_chat(ctx, j_set, i).convert_ring(ring),
+                                model.commutator(j_set - {i}, i)):
                 failed += 1
     checks.append(("rewriting soundness", failed == 0,
                    "%d/%d pairs (J,i) agree" % (total - failed, total)))
 
-    rel_bad = 0
-    for rel in presentation.relations:
-        if not evaluate(rel.poly, algebra, assignment).is_zero():
-            rel_bad += 1
+    rel_bad = sum(not evaluates_to(rel.poly, {})
+                  for rel in presentation.relations)
     checks.append(("relations vanish", rel_bad == 0,
                    "%d/%d vanish in k[K]!" % (len(presentation.relations)
                                               - rel_bad,

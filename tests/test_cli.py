@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+import looppres.cli as cli
+import looppres.presentation as presentation
 import looppres.torbar as torbar
 from corpus import gnp_flag
 from looppres.cli import load_complex, main
@@ -293,6 +295,48 @@ def test_verify_json_pinned(tmp_path, capsys, name, ring):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
         VERIFY_SHA256[(name, ring)]
+
+
+# sha256 of `verify --json --ring R` stdout at m = 8, recorded while the
+# rewrites and relations were still evaluated through the normal form
+VERIFY_M8_SHA256 = {
+    ("8-gon", "Z"):
+        "7985aa5c7a6aa1e1baa904b6eab594326c44fae7d9ef5804fcce7f2a8974b20b",
+    ("8-gon", "F3"):
+        "7985aa5c7a6aa1e1baa904b6eab594326c44fae7d9ef5804fcce7f2a8974b20b",
+    ("G(8,0.4) seed 1", "Z"):
+        "ed766459e77405a800daf8399a4c2dde092394b3f251228820147067a819c2ea",
+    ("G(8,0.4) seed 1", "F3"):
+        "ed766459e77405a800daf8399a4c2dde092394b3f251228820147067a819c2ea",
+}
+
+
+@pytest.mark.parametrize("name,ring", sorted(VERIFY_M8_SHA256))
+def test_verify_json_pinned_m8(tmp_path, capsys, name, ring):
+    k = cycle_complex(8) if name == "8-gon" else gnp_flag(8, 1, p=0.4)
+    code, out, _ = verify_json(tmp_path, capsys, k, ring)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        VERIFY_M8_SHA256[(name, ring)]
+
+
+def test_verify_lifts_each_h1_once(monkeypatch, tmp_path, capsys):
+    # the bar-cycle loop reads the H_1 cycles that the build lifted
+    seen = []
+    real = reduced_homology
+
+    def counted(k, j_set, ring, degree):
+        seen.append((j_set, degree))
+        return real(k, j_set, ring, degree=degree)
+    for module in (presentation, cli):
+        if hasattr(module, "reduced_homology"):
+            monkeypatch.setattr(module, "reduced_homology", counted)
+    for k in (cycle_complex(6), gnp_flag(7, 1, p=0.4), octahedron()):
+        seen.clear()
+        code, _, _ = verify_json(tmp_path, capsys, k, "Z")
+        assert code == 0
+        h1 = [key for key in seen if key[1] == 2]
+        assert h1 and len(h1) == len(set(h1))
 
 
 # sha256 of `presentation --json --ring R --grading G` stdout, recorded while

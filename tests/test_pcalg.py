@@ -6,7 +6,13 @@ from math import comb
 
 import pytest
 
-from looppres.errors import AlgebraMismatch, NotFlag, UnboundSymbol
+from corpus import gnp_flag
+from looppres.errors import (
+    AlgebraMismatch,
+    NotFlag,
+    PreconditionViolated,
+    UnboundSymbol,
+)
 from looppres.exactlin import GF, QQ, ZZ
 from looppres.freealg import (
     FreePolynomial,
@@ -15,7 +21,13 @@ from looppres.freealg import (
     graded_commutator,
     nested_commutator,
 )
-from looppres.pcalg import PCAlgebra, commutator_value, evaluate, graded_dimensions
+from looppres.pcalg import (
+    PCAlgebra,
+    SquarefreeModel,
+    commutator_value,
+    evaluate,
+    graded_dimensions,
+)
 from looppres.simplicial import (
     all_subsets,
     clique_complex,
@@ -381,3 +393,85 @@ def test_extension_check_agrees_with_normalize():
         for w in counted:
             by_len[len(w)] = by_len.get(len(w), 0) + 1
         assert [by_len.get(i, 0) for i in range(5)] == dims
+
+
+# ---------------------------------------------------------------------------
+# the squarefree model against the normal form
+# ---------------------------------------------------------------------------
+
+MODEL_CASES = {
+    "5-gon": lambda: cycle_complex(5),
+    "6-gon": lambda: cycle_complex(6),
+    "7-gon": lambda: cycle_complex(7),
+    "octahedron": octahedron,
+    "G(7,0.5) seed 1": lambda: gnp_flag(7, 1),
+    "G(7,0.5) seed 2": lambda: gnp_flag(7, 2),
+    "G(7,0.5) seed 3": lambda: gnp_flag(7, 3),
+}
+
+
+def random_squarefree_element(alg, rng, letters):
+    """A normal-form element: a few words, each with distinct letters drawn
+    from ``letters``, so supports may differ from word to word."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        word = rng.sample(letters, rng.randint(1, len(letters)))
+        terms[tuple(word)] = rng.choice([1, -1, 2, -3, 5])
+    return alg.element(terms)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(3)], ids=repr)
+@pytest.mark.parametrize("name", sorted(MODEL_CASES))
+def test_model_matches_normal_form(name, ring):
+    k = MODEL_CASES[name]()
+    alg = PCAlgebra(k, ring)
+    model = SquarefreeModel(alg)
+    for j_set in all_subsets(k.m):
+        for i in j_set:
+            assert model.from_element(commutator_value(alg, j_set - {i}, i)) \
+                == model.commutator(j_set - {i}, i), (sorted(j_set), i)
+    rng = random.Random(sorted(MODEL_CASES).index(name))
+    vertices = list(range(1, k.m + 1))
+    for _ in range(300):
+        rng.shuffle(vertices)
+        cut = rng.randint(1, k.m - 1)
+        x = random_squarefree_element(alg, rng, vertices[:cut])
+        y = random_squarefree_element(alg, rng, vertices[cut:])
+        assert model.from_element(x * y) == \
+            model.mul(model.from_element(x), model.from_element(y)), (x, y)
+
+
+def test_model_keys_carry_the_support():
+    # u1 and u2 both have the empty orientation; keyed by orientation alone
+    # they would merge and u1 - u2 would read as zero
+    model = SquarefreeModel(PENTAGON)
+    diff = {}
+    model.accumulate(diff, model.generator(1))
+    model.accumulate(diff, model.generator(2), -1)
+    assert diff and len(diff) == 2
+    assert diff == model.from_element(PENTAGON.generator(1)
+                                      - PENTAGON.generator(2))
+    assert model.mul(model.generator(1), model.generator(1)) is None
+    with pytest.raises(PreconditionViolated):
+        model.from_element(PENTAGON.element({(1, 3, 1): 1}))
+    with pytest.raises(AlgebraMismatch):
+        model.from_element(PCAlgebra(cycle_complex(6)).generator(1))
+
+
+def test_model_evaluate_splits_off_words_that_leave_it():
+    model = SquarefreeModel(PENTAGON)
+    g = gptw_symbol({1, 3}, 1)
+    binding = {g: model.commutator({3}, 1)}
+    u1, u2, u3 = (FreePolynomial.generator(atom_u(v)) for v in (1, 2, 3))
+    gen = FreePolynomial.generator(g)
+    value, rest = model.evaluate(gen * u2 + u1 * u3 * u1 - u3 * u1, binding)
+    want = {}
+    model.accumulate(want, model.mul(model.commutator({3}, 1),
+                                     model.generator(2)))
+    model.accumulate(want, model.mul(model.generator(3), model.generator(1)),
+                     -1)
+    assert value == want
+    assert rest == u1 * u3 * u1
+    with pytest.raises(UnboundSymbol):
+        model.evaluate(FreePolynomial.generator(gptw_symbol({2, 4}, 2)),
+                       binding)

@@ -16,7 +16,12 @@ from looppres.errors import (
     VertexOutOfRange,
 )
 from looppres.exactlin import GF, QQ, ZZ, ExactMatrix, cokernel_invariants
-from looppres.freealg import FreePolynomial, gptw_symbol, graded_commutator
+from looppres.freealg import (
+    FreePolynomial,
+    atom_u,
+    gptw_symbol,
+    graded_commutator,
+)
 from looppres.pcalg import commutator_value, evaluate
 from looppres.presentation import (
     Context,
@@ -497,3 +502,52 @@ def test_complex_holds_no_memo_state():
         rewrite_chat(k, frozenset({1, 3, 5}), 3)
         pc_algebra(k, ring)
     assert set(vars(k)) == fields
+
+
+def check_rows(report):
+    return {name: (ok, detail) for name, ok, detail in report.checks}
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(3)], ids=repr)
+def test_relation_missing_a_word_does_not_vanish(ring):
+    k = gnp_flag(7, 1, p=0.4)
+    pres = build_presentation(k, ring)
+    rel = max(pres.relations, key=lambda r: len(r.poly.terms))
+    word = rel.poly.leading_word()
+    dropped = FreePolynomial(ring, {w: c for w, c in rel.poly.terms.items()
+                                    if w != word})
+    pres.relations[pres.relations.index(rel)] = replace(rel, poly=dropped)
+    rows = check_rows(verify_presentation(k, pres))
+    n = len(pres.relations)
+    assert rows["relations vanish"] == (False,
+                                        "%d/%d vanish in k[K]!" % (n - 1, n))
+    assert all(ok for name, (ok, _) in rows.items()
+               if name != "relations vanish")
+
+
+def test_doubled_rewrite_coefficient_fails_soundness():
+    ctx = Context(HEXAGON)
+    pres = build_presentation(ctx, ZZ)
+    key = (frozenset({1, 2, 3, 5}), 2)
+    poly = rewrite_chat(ctx, *key)
+    assert len(poly.terms) > 1
+    word = poly.leading_word()
+    ctx.rewrites[key] = FreePolynomial(
+        ZZ, {**poly.terms, word: 2 * poly.terms[word]})
+    rows = check_rows(verify_presentation(ctx, pres))
+    assert rows["rewriting soundness"] == (False, "185/186 pairs (J,i) agree")
+    assert rows["relations vanish"][0] and rows["generator values"][0]
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(3)], ids=repr)
+def test_words_outside_squarefree_degrees_are_checked_apart(ring):
+    # u1*u1 is zero in k[K]^!, so the relation still vanishes; u1*u3*u1
+    # ({1,3} is no edge of the pentagon) is not zero, so it must not
+    pres = build_presentation(PENTAGON, ring)
+    (rel,) = pres.relations
+    u1, u3 = (FreePolynomial.generator(atom_u(v), ring) for v in (1, 3))
+    pres.relations[0] = replace(rel, poly=rel.poly + (u1 * u1).scale(5))
+    assert verify_presentation(PENTAGON, pres).ok
+    pres.relations[0] = replace(rel, poly=rel.poly + u1 * u3 * u1)
+    assert check_rows(verify_presentation(PENTAGON, pres))[
+        "relations vanish"] == (False, "0/1 vanish in k[K]!")
