@@ -5,10 +5,12 @@ Symbols come in two flavours: the degree-1 atoms u_i with multidegree
 the nested commutator c(J \\ i, u_i), of total degree |J| and multidegree
 (-|J|, 2J).  Symbols are interned, so their equality is identity and a
 word hashes at C speed.  Words are plain tuples of symbols, polynomials are
-word -> coefficient maps (long sums run in place, through ``accumulate``),
-and nothing is ever rewritten: equality in this layer is literal
-coefficient equality, which is what makes it a trustworthy substrate for
-the sign-identity test suite.
+word -> coefficient maps, and nothing is ever rewritten: equality in this
+layer is literal coefficient equality, which is what makes it a trustworthy
+substrate for the sign-identity test suite.  Long sums run in place on a
+dict: ``accumulate`` drops cancelled words as it goes, while ``add_bracket``
+(the one bracket loop, given the total degrees) and ``__mul__`` use plain +
+and * and leave reduction mod p and zeros to one ``settle`` at the end.
 
 Sign conventions (total degree drives all Koszul signs):
 
@@ -17,8 +19,6 @@ Sign conventions (total degree drives all Koszul signs):
 * c(I, x) = [u_{i_1}, [u_{i_2}, ... [u_{i_k}, x] ...]] for I = {i_1<...<i_k}
 * theta(A, B) = #{(a, b) in A x B : a > b}
 """
-
-from itertools import compress, product
 
 from .errors import NotHomogeneous, PreconditionViolated, RingMismatch
 from .exactlin import ZZ
@@ -126,11 +126,8 @@ class FreePolynomial:
 
     def __init__(self, ring=ZZ, terms=None):
         self.ring = ring
-        self.terms = {}
-        if terms:
-            for word, coeff in terms.items():
-                if not ring.is_zero(coeff):
-                    self.terms[word] = coeff
+        self.terms = {w: c for w, c in (terms or {}).items()
+                      if not ring.is_zero(c)}
 
     # -- constructors --
     @classmethod
@@ -193,17 +190,11 @@ class FreePolynomial:
         if isinstance(other, int):
             return self.scale(other)
         self._check(other)
-        ring = self.ring
         out = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                w = w1 + w2
-                v = ring.add(out.get(w, ring.zero()), ring.mul(c1, c2))
-                if ring.is_zero(v):
-                    out.pop(w, None)
-                else:
-                    out[w] = v
-        return FreePolynomial._wrap(ring, out)
+                out[w1 + w2] = out.get(w1 + w2, 0) + c1 * c2
+        return settle(out, self.ring)
 
     def __eq__(self, other):
         return (isinstance(other, FreePolynomial) and self.ring == other.ring
@@ -236,12 +227,8 @@ class FreePolynomial:
             return self
         if self.ring != ZZ:
             raise RingMismatch("can only convert integer polynomials")
-        out = {}
-        for w, c in self.terms.items():
-            v = ring.from_int(c)
-            if not ring.is_zero(v):
-                out[w] = v
-        return FreePolynomial._wrap(ring, out)
+        return settle({w: ring.from_int(c) for w, c in self.terms.items()},
+                      ring)
 
     def leading_word(self):
         if not self.terms:
@@ -301,14 +288,34 @@ def overline(p):
     return p if (1 + d) % 2 == 0 else -p
 
 
+def add_bracket(acc, x, y, dx, dy, coeff=1):
+    """acc += coeff * [x, y] for x, y homogeneous of total degrees dx, dy,
+    with plain + and *: ``settle`` reduces mod p and drops zeros after."""
+    back = coeff if dx * dy % 2 else -coeff
+    get = acc.get
+    for w1, c1 in x.terms.items():
+        for w2, c2 in y.terms.items():
+            c = c1 * c2
+            w = w1 + w2
+            acc[w] = get(w, 0) + coeff * c
+            w = w2 + w1
+            acc[w] = get(w, 0) + back * c
+
+
+def settle(acc, ring=ZZ):
+    """The polynomial of a dict summed with plain + and *: reduced mod p
+    over F_p, zeros dropped."""
+    if ring.p:
+        acc = {w: c % ring.p for w, c in acc.items()}
+    return FreePolynomial._wrap(ring, {w: c for w, c in acc.items() if c})
+
+
 def graded_commutator(x, y):
     """[x, y] = xy - (-1)^(deg x deg y) yx on homogeneous arguments."""
-    dx = x.total_degree()
-    dy = y.total_degree()
-    out = (x * y).terms
-    odd = dx is not None and dy is not None and (dx * dy) % 2
-    accumulate(out, y * x, 1 if odd else -1)
-    return FreePolynomial._wrap(x.ring, out)
+    x._check(y)
+    acc = {}
+    add_bracket(acc, x, y, x.total_degree() or 0, y.total_degree() or 0)
+    return settle(acc, x.ring)
 
 
 def u_word(subset, ring=ZZ):
@@ -336,29 +343,32 @@ def ordered_splits(items, bounds):
 
     Yields tuples of frozensets, one per bound.  Block t must be nonempty
     with max > bounds[t]; a bound of None leaves block t free (possibly
-    empty).  Labellings run like numbers whose lowest digit is the smallest
-    vertex, so for two blocks the first block runs through the bitmasks
-    0, 1, 2, ... (bit t for the t-th smallest vertex) and the second block
-    is the rest.
+    empty).  A block is a bitmask over the sorted items, checked against
+    its bound before any frozenset is built.  Block 0 counts up through the
+    masks, each later block through the submasks of what is left, and the
+    last block is the rest.
     """
-    items = sorted(items, reverse=True)
-    last = len(bounds) - 1
-    full = frozenset(items)
-    for labels in product(range(last + 1), repeat=len(items)):
-        blocks = []
-        rest = full
-        for t, bound in enumerate(bounds):
-            if t == last:
-                block = rest
-            else:
-                block = frozenset(compress(items,
-                                           map((last - t).__eq__, labels)))
-                rest = rest - block
-            if bound is not None and (not block or max(block) <= bound):
-                break
-            blocks.append(block)
-        else:
-            yield tuple(blocks)
+    items = sorted(items)
+    sets = [frozenset()]  # mask -> its items
+    for v in items:
+        sets += [s | {v} for s in sets]
+    heads = [((), len(sets) - 1)]  # (masks of the blocks so far, the rest)
+    for t, bound in enumerate(bounds, 1 - len(bounds)):  # t = 0: last block
+        top = sum(1 << n for n, v in enumerate(items)
+                  if bound is None or v > bound)
+        grown = []
+        for head, rest in heads:
+            sub = 0 if t else rest
+            while True:
+                if bound is None or sub & top:
+                    grown.append((head + (sub,), rest ^ sub))
+                if sub == rest:
+                    break
+                sub = (sub - rest) & rest
+        heads = grown
+    for head, rest in heads:
+        if not rest:
+            yield tuple(map(sets.__getitem__, head))
 
 
 # ---------------------------------------------------------------------------
@@ -446,10 +456,9 @@ def rearrangement_identity_rhs(j_set, i, j, ring=ZZ):
     accumulate(out, second, 1 if above_i % 2 else -1)
     for a, b in ordered_splits(j_set - {i, j}, (i, j)):
         sign = (koszul_theta(a, b) + len(b)) % 2
-        term = graded_commutator(nested_commutator(a, ui),
-                                 nested_commutator(b, uj))
-        accumulate(out, term, -1 if sign else 1)
-    return FreePolynomial._wrap(ring, out)
+        add_bracket(out, nested_commutator(a, ui), nested_commutator(b, uj),
+                    1 + len(a), 1 + len(b), -1 if sign else 1)
+    return settle(out, ring)
 
 
 def rearrangement_identity_lhs(j_set, i, j, ring=ZZ):

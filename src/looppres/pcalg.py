@@ -418,15 +418,20 @@ class SquarefreeModel:
                 raise UnboundSymbol("no value bound for %s" % sym.render())
             return self.mul(factor, binding[sym])
 
-        acc, rest = {}, {}
+        acc, rest = {}, {}  # acc: plain + and *, reduced once at the end
         for word, coeff in poly.terms.items():
             v = value(word)
             if v is None:
                 rest[word] = coeff
-            else:
-                self.accumulate(acc, v, coeff)
+                continue
+            for support, terms in v.items():
+                row = acc.setdefault(support, {})
+                for o, c in terms.items():
+                    row[o] = row.get(o, 0) + coeff * c
         prefixes.clear()  # value() refers to itself: free now, not at next GC
-        return acc, FreePolynomial._wrap(poly.ring, rest)
+        out = {}
+        self.accumulate(out, acc)  # reduced, zeros dropped
+        return out, FreePolynomial._wrap(poly.ring, rest)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,10 @@ smallest vertex of i's component (different component):
 
 Results are ring-independent (+-1 sums over Z) and memoized in a ``Context``,
 one per computation, which every function taking the complex also takes.
-Relation synthesis sums each edge's brackets over Z and brings them into the
-ring once.
+Each bracket [chat(A, u_a), chat(B, u_b)] is added by ``add_bracket`` with
+the known degrees |A|+1 and |B|+1, and each sum drops its zeros once at the
+end.  Relation synthesis sums each edge's brackets over Z and brings them
+into the ring once.
 """
 
 from __future__ import annotations
@@ -36,10 +38,11 @@ from .freealg import (
     FreePolynomial,
     _render_term,
     accumulate,
+    add_bracket,
     gptw_symbol,
-    graded_commutator,
     koszul_theta,
     ordered_splits,
+    settle,
     word_sort_key,
 )
 from .pcalg import PCAlgebra, SquarefreeModel, commutator_value, evaluate
@@ -158,15 +161,14 @@ def rewrite_chat(k, j_set, i):
     u_i does not lie in the loop homology subalgebra at all.
     """
     ctx = _context(k)
-    j_set = frozenset(j_set)
+    memo, key = ctx.rewrites, (frozenset(j_set), i)
+    if key in memo:
+        return memo[key]
+    j_set = key[0]
     if i not in j_set:
         raise PreconditionViolated("i=%d not in J=%s" % (i, sorted(j_set)))
     if len(j_set) < 2:
         raise PreconditionViolated("rewriting needs |J| >= 2")
-    memo = ctx.rewrites
-    key = (j_set, i)
-    if key in memo:
-        return memo[key]
     in_progress = vars(_IN_PROGRESS).setdefault("calls", set())
     call = (ctx, j_set, i)
     if call in in_progress:
@@ -248,11 +250,11 @@ def _solve_rearrangement(ctx, j_set, i, neighbor):
     out = {}
     for a_set, b_set in ordered_splits(j_set - {a, b}, (a, b)):
         sign = (koszul_theta(a_set, b_set) + len(b_set)) % 2
-        term = graded_commutator(rewrite_chat(ctx, a_set | {a}, a),
-                                 rewrite_chat(ctx, b_set | {b}, b))
-        accumulate(out, term, -tail if sign else tail)
+        add_bracket(out, rewrite_chat(ctx, a_set | {a}, a),
+                    rewrite_chat(ctx, b_set | {b}, b),
+                    len(a_set) + 1, len(b_set) + 1, -tail if sign else tail)
     accumulate(out, rewrite_chat(ctx, j_set, other), lead)
-    return FreePolynomial(ZZ, out)
+    return settle(out)
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +341,7 @@ def relation_for_cycle(k, kappa, ring=ZZ, normalize_sign=True):
         raise NotACycle("relation synthesis needs a chain of edges")
     if not is_cycle(ctx.complex, kappa, ring):
         raise NotACycle("chain has nonzero boundary")
-    poly = {}
-    terms = []
+    poly, terms, zero = {}, [], ring.zero()
     for face, lam in kappa.terms:
         i, j = sorted(face)
         if not ctx.complex.has_face(face):
@@ -356,13 +357,13 @@ def relation_for_cycle(k, kappa, ring=ZZ, normalize_sign=True):
             terms.append(CommutatorTerm(
                 j_set=j_set, i=i, j=j, a_set=a_set, b_set=b_set,
                 coeff=ring.neg(base) if odd else base, alive=alive))
-            accumulate(edge_sum,
-                       graded_commutator(rewrite_chat(ctx, a_set | {i}, i),
-                                         rewrite_chat(ctx, b_set | {j}, j)),
-                       -1 if odd else 1)
-        accumulate(poly, FreePolynomial._wrap(ZZ, edge_sum).convert_ring(ring),
-                   base)
-    rel = Relation(degree=len(j_set), poly=FreePolynomial._wrap(ring, poly),
+            add_bracket(edge_sum, rewrite_chat(ctx, a_set | {i}, i),
+                        rewrite_chat(ctx, b_set | {j}, j),
+                        len(a_set) + 1, len(b_set) + 1, -1 if odd else 1)
+        for word, c in edge_sum.items():
+            if c:
+                poly[word] = poly.get(word, zero) + base * c
+    rel = Relation(degree=len(j_set), poly=settle(poly, ring),
                    parts=((j_set, kappa),), terms=tuple(terms))
     return _normalize_sign(rel) if normalize_sign else rel
 

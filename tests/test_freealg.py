@@ -5,11 +5,12 @@ from itertools import combinations, product
 import pytest
 
 from looppres.errors import NotHomogeneous, PreconditionViolated
-from looppres.exactlin import GF, ZZ
+from looppres.exactlin import GF, QQ, ZZ
 from looppres.freealg import (
     FreePolynomial,
     GeneratorSymbol,
     accumulate,
+    add_bracket,
     atom_u,
     expand_c_of_bracket,
     expand_uI_uj,
@@ -23,6 +24,7 @@ from looppres.freealg import (
     rearrangement_identity_lhs,
     rearrangement_identity_rhs,
     render_nested_commutator,
+    settle,
     u_word,
     word_multidegree,
 )
@@ -74,6 +76,78 @@ def test_graded_commutator_examples():
     c = graded_commutator(u(1) * u(2), u(3))
     assert c == u(1) * u(2) * u(3) - u(3) * u(1) * u(2)
     assert graded_commutator(u(1), u(1)) == 2 * (u(1) * u(1))
+
+
+def reference_bracket(x, y):
+    """x*y - (-1)^(dx dy) y*x, from FreePolynomial.__mul__."""
+    odd = (x.total_degree() or 0) * (y.total_degree() or 0) % 2
+    return x * y + (y * x).scale(1 if odd else -1)
+
+
+def random_homogeneous(rng, degree, ring=ZZ, m=4, terms=4):
+    out = FreePolynomial.zero(ring)
+    for _ in range(rng.randint(1, terms)):
+        word = tuple(atom_u(rng.randint(1, m)) for _ in range(degree))
+        out = out + FreePolynomial.monomial(
+            word, rng.choice([1, -1, 2, -3, 5]), ring)
+    return out
+
+
+@pytest.mark.parametrize("dx,dy", [(1, 1), (3, 1), (1, 3), (1, 2), (2, 3),
+                                   (2, 2)])
+def test_add_bracket_matches_reference(dx, dy):
+    rng = random.Random(100 * dx + dy)
+    for _ in range(40):
+        x = random_homogeneous(rng, dx)
+        y = random_homogeneous(rng, dy)
+        coeff = rng.choice([1, -1, 2, -3])
+        acc = {}
+        add_bracket(acc, x, y, dx, dy, coeff)
+        assert settle(acc) == reference_bracket(x, y).scale(coeff)
+        # a sum of two brackets, some of whose words cancel
+        z = random_homogeneous(rng, dy)
+        add_bracket(acc, x, z, dx, dy, -coeff)
+        want = reference_bracket(x, y) - reference_bracket(x, z)
+        assert settle(acc) == want.scale(coeff)
+        assert 0 not in settle(acc).terms.values()
+
+
+def test_add_bracket_zero_operand_and_cancellation():
+    zero = FreePolynomial.zero()
+    acc = {}
+    add_bracket(acc, zero, u(1) * u(2), 1, 2)
+    add_bracket(acc, u(3), zero, 1, 1)
+    assert acc == {} and settle(acc).is_zero()
+    # within one call: [u1+u2, u1-u2] = 2 u1u1 - 2 u2u2, the u1u2 words cancel
+    add_bracket(acc, u(1) + u(2), u(1) - u(2), 1, 1)
+    assert settle(acc) == 2 * (u(1) * u(1)) - 2 * (u(2) * u(2))
+    assert set(acc) > set(settle(acc).terms)  # zeros stay until settle
+    # [x, x] = 0 for x of even degree; [x, y] + (-1)^(dx dy) [y, x] = 0
+    x, y = u(1) * u(2) - u(3) * u(4), u(2) + 2 * u(4)
+    acc = {}
+    add_bracket(acc, x, x, 2, 2)
+    add_bracket(acc, x, y, 2, 1)
+    add_bracket(acc, y, x, 1, 2)
+    assert acc and settle(acc).is_zero()
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(2), GF(3)], ids=repr)
+def test_graded_commutator_over_fields_matches_reference(ring):
+    rng = random.Random(12)
+    for dx, dy in [(1, 1), (1, 2), (2, 2), (3, 2)]:
+        for _ in range(25):
+            x = random_homogeneous(rng, dx, ring)
+            y = random_homogeneous(rng, dy, ring)
+            got = graded_commutator(x, y)
+            assert got == reference_bracket(x, y)
+            assert all(c == ring.from_int(c) and not ring.is_zero(c)
+                       for c in got.terms.values())
+
+
+def test_settle_reduces_mod_p_and_drops_zeros():
+    w1, w2 = (atom_u(1),), (atom_u(2),)
+    assert settle({w1: 3, w2: -4}, GF(3)).terms == {w2: 2}
+    assert settle({w1: 0, w2: -4}).terms == {w2: -4}
 
 
 def test_nested_commutator():

@@ -118,6 +118,21 @@ def test_rewrite_soundness_small_complexes():
                 assert lhs == rhs, (k, sorted(j_set), i)
 
 
+@pytest.mark.parametrize("ring", [ZZ, GF(2)], ids=["Z", "F2"])
+@pytest.mark.parametrize("k", [cycle_complex(7), gnp_flag(7, 1, p=0.4)],
+                         ids=["7-gon", "G(7,0.4) draw 1"])
+def test_rewrites_and_relations_store_no_zero(k, ring):
+    # brackets are summed with plain + and *; zeros are dropped once, at
+    # the end of each rewrite and each edge of a relation
+    pres = build_presentation(k, ring)
+    assert pres.relations and pres.context.rewrites
+    for poly in pres.context.rewrites.values():
+        assert 0 not in poly.terms.values()
+    for rel in pres.relations:
+        assert all(c == ring.from_int(c) and not ring.is_zero(c)
+                   for c in rel.poly.terms.values())
+
+
 def test_rewrite_multidegree_homogeneous():
     for k in (PENTAGON, HEXAGON):
         for j_set in all_subsets(k.m):
