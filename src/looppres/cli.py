@@ -8,12 +8,16 @@ Input files are JSON objects {"m": int, "facets": [[1-indexed vertices]]};
 "m" may be omitted (inferred as the largest vertex).  Exit codes: 0 success,
 2 unparseable input or --trunc < 0, 3 non-flag input without
 --skeleton-clique; verify and hilbert exit 1 when an oracle check fails.
+
+``--json`` output is byte for byte what json.dumps gives with indent=2 and
+sort_keys=True, from ``write_json``: json's C encoder runs only without indent.
 """
 
 import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .errors import ChainConditionViolated, LoopPresError
 from .exactlin import chain_homology_invariants, parse_ring
@@ -82,9 +86,47 @@ def load_complex(path, max_m=None):
     return SimplicialComplex.from_json_dict(data, max_m=max_m)
 
 
+def write_json(payload, fp=None):
+    """Write payload and a newline to fp (default stdout), as json.dumps would
+    with indent=2 and sort_keys=True; a non-str dict key raises TypeError."""
+    fp = sys.stdout if fp is None else fp
+    out = []
+    put = out.append
+
+    def write(obj, pad):  # pad: newline and indent of obj's own line
+        if isinstance(obj, str):
+            put(encode_basestring_ascii(obj))
+        elif type(obj) is int:  # as json writes it, without its overhead
+            put(repr(obj))
+        elif not (isinstance(obj, (dict, list, tuple)) and obj):
+            put(json.dumps(obj))
+        elif isinstance(obj, dict):
+            inner = pad + "  "
+            sep = "{" + inner
+            for key in sorted(obj):  # a non-str key fails in sorted or encode
+                put(sep + encode_basestring_ascii(key) + ": ")
+                write(obj[key], inner)
+                sep = "," + inner
+            put(pad + "}")
+        else:
+            inner = pad + "  "
+            sep = "[" + inner
+            for item in obj:
+                put(sep)
+                write(item, inner)
+                sep = "," + inner
+            put(pad + "]")
+        if len(out) >= 1 << 14:
+            fp.write("".join(out))
+            out.clear()
+
+    write(payload, "\n")
+    fp.write("".join(out) + "\n")
+
+
 def emit(payload, as_json):
     if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        write_json(payload)
     else:
         for line in payload["lines"]:
             print(line)
@@ -131,9 +173,7 @@ def cmd_analyze(k, args, ring, flag_ok, witness):
 def cmd_presentation(k, args, ring):
     pres = build_presentation(k, ring, args.grading)
     if args.as_json:
-        json.dump(presentation_to_dict(pres), sys.stdout, indent=2,
-                  sort_keys=True)
-        sys.stdout.write("\n")
+        write_json(presentation_to_dict(pres))
         return EXIT_OK
     print("generators: %d" % len(pres.generators))
     for g in pres.generators:
@@ -151,7 +191,7 @@ def cmd_presentation(k, args, ring):
 def cmd_homotopy(k, args):
     report = multiplicity_report(k, args.trunc)
     if args.as_json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        write_json(report.to_dict())
         return EXIT_OK
     print("P(t) coefficients: %s" % report.p)
     mults = report.nonzero_multiplicities()
@@ -221,10 +261,8 @@ def cmd_verify(k, args, ring):
 
     ok = all(c[1] for c in checks)
     if args.as_json:
-        print(json.dumps({"ok": ok,
-                          "checks": [{"name": n, "ok": o, "detail": d}
-                                     for n, o, d in checks]},
-                         indent=2, sort_keys=True))
+        write_json({"ok": ok, "checks": [{"name": n, "ok": o, "detail": d}
+                                         for n, o, d in checks]})
     else:
         for name, good, detail in checks:
             print("%-24s %s  %s" % (name, "PASS" if good else "FAIL", detail))

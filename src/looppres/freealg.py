@@ -20,8 +20,12 @@ Sign conventions (total degree drives all Koszul signs):
 * theta(A, B) = #{(a, b) in A x B : a > b}
 """
 
+from operator import attrgetter
+
 from .errors import NotHomogeneous, PreconditionViolated, RingMismatch
 from .exactlin import ZZ
+
+_symbol_key, _symbol_text = attrgetter("_key"), attrgetter("_text")
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +104,7 @@ def render_nested_commutator(prefix, i):
 
 
 def word_sort_key(word):
-    return tuple(s.sort_key() for s in word)
+    return tuple(map(_symbol_key, word))
 
 
 def word_total_degree(word):
@@ -241,7 +245,7 @@ class FreePolynomial:
         parts = []
         for w in sorted(self.terms, key=word_sort_key):
             c = self.terms[w]
-            body = "*".join(s.render() for s in w) if w else "1"
+            body = "*".join(map(_symbol_text, w)) if w else "1"
             parts.append(_render_term(c, body))
         text = parts[0] + "".join(
             " %s %s" % (p[0], p[1:]) if p[0] in "+-" else " + " + p

@@ -30,7 +30,7 @@ into the ring once.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import NotACycle, PreconditionViolated
 from .exactlin import ExactMatrix, ZZ, cokernel_invariants
@@ -316,9 +316,9 @@ def _normalize_sign(rel):
         unit = ring.from_int(-1)
     else:
         return rel
-    return replace(rel, poly=poly.scale(unit),
-                   terms=tuple(replace(t, coeff=ring.mul(unit, t.coeff))
-                               for t in rel.terms))
+    return Relation(rel.degree, poly.scale(unit), rel.parts, tuple(
+        CommutatorTerm(t.j_set, t.i, t.j, t.a_set, t.b_set,
+                       ring.mul(unit, t.coeff), t.alive) for t in rel.terms))
 
 
 def relation_for_cycle(k, kappa, ring=ZZ, normalize_sign=True):
@@ -647,12 +647,9 @@ def presentation_to_dict(presentation):
         })
     rels = []
     for rel in presentation.relations:
-        word_terms = []
-        for word in sorted(rel.poly.terms, key=word_sort_key):
-            word_terms.append({
-                "coeff": str(rel.poly.terms[word]),
-                "word": [s.render() for s in word],
-            })
+        terms = rel.poly.terms
+        word_terms = [{"coeff": str(terms[w]), "word": [s._text for s in w]}
+                      for w in sorted(terms, key=word_sort_key)]
         rels.append({
             "degree": rel.degree,
             "parts": [{

@@ -1,5 +1,7 @@
 import hashlib
+import io
 import json
+import random
 
 import pytest
 
@@ -161,14 +163,95 @@ def test_presentation_json_roundtrip(pentagon_file, capsys):
 
 
 @pytest.mark.parametrize("m", [5, 6])
-def test_presentation_json_matches_dumps(tmp_path, capsys, m):
-    # streamed JSON is byte for byte the one-shot indented dump
+def test_presentation_json_matches_dumps(monkeypatch, tmp_path, capsys, m):
+    # every --json output is byte for byte the one-shot indented dump of the
+    # payload the command built
     path = write(tmp_path, "gon%d.json" % m,
                  {"m": m, "facets": [[i, i % m + 1] for i in range(1, m + 1)]})
-    assert main(["presentation", path, "--json"]) == 0
+    payloads = []
+    real = cli.write_json
+
+    def recorded(payload, fp=None):
+        payloads.append(payload)
+        real(payload, fp)
+    monkeypatch.setattr(cli, "write_json", recorded)
+    for command in ("presentation", "analyze", "homotopy", "hilbert",
+                    "verify"):
+        payloads.clear()
+        assert main([command, path, "--json", "--trunc", "6"]) == 0
+        assert len(payloads) == 1, command
+        assert capsys.readouterr().out == json.dumps(
+            payloads[0], indent=2, sort_keys=True) + "\n", command
     pres = build_presentation(load_complex(path), ZZ, "multi")
+    assert main(["presentation", path, "--json"]) == 0
     assert capsys.readouterr().out == json.dumps(
         presentation_to_dict(pres), indent=2, sort_keys=True) + "\n"
+
+
+def random_payload(rng, depth=0):
+    """A seeded JSON-ready container: half its values are containers down to
+    depth 4, the rest leaves."""
+    kind = rng.randrange(3) if depth == 0 else rng.randrange(
+        0 if depth < 4 else 3, 6)
+    if kind == 0:
+        return {random_text(rng): random_payload(rng, depth + 1)
+                for _ in range(rng.randrange(5))}
+    if kind == 1:
+        return [random_payload(rng, depth + 1)
+                for _ in range(rng.randrange(5))]
+    if kind == 2:
+        return tuple(random_payload(rng, depth + 1)
+                     for _ in range(rng.randrange(4)))
+    return rng.choice([
+        lambda: random_text(rng),
+        lambda: rng.randrange(-10 ** 30, 10 ** 30),
+        lambda: rng.choice([0, -1, 2 ** 64, -(2 ** 100)]),
+        lambda: rng.choice([True, False, None]),
+        lambda: rng.uniform(-1e6, 1e6),
+        lambda: rng.choice([0.0, -0.0, 1e300, 5e-324, 0.1, -2.5]),
+        lambda: rng.choice([{}, [], ()]),
+    ])()
+
+
+def random_text(rng):
+    alphabet = 'ab"\\/\n\t\r\x00\x1f\x7f é€\u2028\ud7ff\udc00\U0001f600'
+    return "".join(rng.choice(alphabet) for _ in range(rng.randrange(6)))
+
+
+def test_write_json_matches_dumps_on_random_payloads():
+    rng = random.Random(1402)
+    for _ in range(400):
+        payload = random_payload(rng)
+        out = io.StringIO()
+        cli.write_json(payload, out)
+        assert out.getvalue() == json.dumps(
+            payload, indent=2, sort_keys=True) + "\n", payload
+
+
+@pytest.mark.parametrize("payload", [{1: "a"}, {"a": 1, 2: "b"},
+                                     [{"a": {None: 0}}]])
+def test_write_json_refuses_non_str_keys(payload):
+    with pytest.raises(TypeError):
+        cli.write_json(payload, io.StringIO())
+
+
+def test_write_json_writes_in_bounded_chunks():
+    class Recorder:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+
+    payload = {"rows": [{"coeff": str(n), "word": ["u%d" % n] * 3}
+                        for n in range(20000)]}
+    fp = Recorder()
+    cli.write_json(payload, fp)
+    text = "".join(fp.writes)
+    same = text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert same  # not compared in the assert: a diff of 4 MB takes minutes
+    assert len(fp.writes) > 1
+    assert max(map(len, fp.writes)) < len(text) // 4
 
 
 def test_homotopy_square(square_file, capsys):
