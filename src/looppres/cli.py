@@ -20,7 +20,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from .errors import ChainConditionViolated, LoopPresError
-from .exactlin import chain_homology_invariants, parse_ring
+from .exactlin import parse_ring
 from .homotopy import (
     loop_poincare_series,
     multiplicity_report,
@@ -36,14 +36,12 @@ from .presentation import (
     verify_presentation,
 )
 from .simplicial import (
+    FaceIndex,
     SimplicialComplex,
     all_subsets,
-    boundary_matrix,
     clique_complex,
     f_h_vectors,
     is_flag,
-    reduced_betti0,
-    reduced_homology_invariants,
 )
 from .torbar import bar_cycle, koszul_invariants, verify_bar_cycle
 
@@ -144,11 +142,12 @@ def cmd_analyze(k, args, ring, flag_ok, witness):
         "subsets": [],
         "lines": [],
     }
+    faces = FaceIndex(k)  # k need not be flag, so no Context
     for j in all_subsets(k.m):
         if not j:
             continue
-        b0 = reduced_betti0(k, j)
-        h1 = reduced_homology_invariants(k, j, ring, degree=2)
+        b0 = faces.betti0(j)
+        h1 = faces.homology_invariants(j, ring, (2, 3))[0]
         if b0 or not h1.is_zero():
             payload["subsets"].append(
                 {"J": sorted(j), "b0": b0, "h1_rank": h1.rank,
@@ -240,11 +239,11 @@ def cmd_verify(k, args, ring):
     checks = list(report.checks)
 
     alg = pres.context.algebra(ring)
+    faces = pres.context.faces
     tor_rows = []
     cycles_total = cycles_ok = 0
     for j in all_subsets(k.m)[1:]:  # every nonempty J
-        simp = chain_homology_invariants(
-            [boundary_matrix(k, j, n) for n in range(len(j) + 3)], ring)
+        simp = faces.homology_invariants(j, ring, range(len(j) + 3))
         try:
             tor_rows.append(koszul_invariants(k, j, ring) == simp)
         except ChainConditionViolated:  # the strand is not a complex

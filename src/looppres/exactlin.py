@@ -7,9 +7,14 @@ generator vectors rests on one set of elimination steps that carry both
 transforms and their inverses, under two pivot rules: Smith normal form over
 Z and Gauss-Jordan over a field.  It runs two eliminations: one of d1, whose
 V^-1 gives kernel coordinates, and one of the coordinates of im d2.
-``invariant_factors`` needs only the Smith diagonal and builds no
-transforms.  Invariant factors follow the divisibility chain d_1 | d_2 | ...
-with unit factors dropped, so a finitely generated module is recorded as
+Invariant factors need only the Smith diagonal and build no transforms:
+``column_invariant_factors`` eliminates on sparse integer columns
+{row: entry}, and ``column_homology_invariants`` checks d1*d2 = 0 and reads
+the homology of an integer chain complex off them by universal coefficients.
+Dense inputs (``invariant_factors``, ``chain_homology_invariants``) are
+turned into columns first, so both share one check and one elimination.
+Invariant factors follow the divisibility chain d_1 | d_2 | ... with unit
+factors dropped, so a finitely generated module is recorded as
 (rank, torsion factors).
 """
 
@@ -383,19 +388,36 @@ def _snf_with_inverses(m):
     return e.transforms()
 
 
+def integer_columns(m):
+    """The columns of an integer matrix as {column: {row: entry}}, zeros
+    left out and rows in increasing order: the input of the column core."""
+    if m.ring != ZZ:
+        raise RingMismatch("integer columns of a matrix over %r" % (m.ring,))
+    if not m.rows:
+        return {j: {} for j in range(m.cols)}
+    return {j: {i: x for i, x in enumerate(col) if x}
+            for j, col in enumerate(zip(*m.data))}
+
+
 def invariant_factors(m):
     """Nonzero Smith diagonal of an integer matrix, d_1 | d_2 | ...
 
-    Builds no transforms.  While some entry is +-1, pivot on one in a
-    shortest column, clear its row from the other columns and drop its row
-    and column with factor 1; the rest, with no unit entry, goes to the
-    dense Smith core.  Smith invariants are unique, so the pivot choice
-    cannot change the result.
+    ``column_invariant_factors`` of its columns; builds no transforms."""
+    return column_invariant_factors(integer_columns(m))
+
+
+def column_invariant_factors(columns):
+    """Nonzero Smith diagonal d_1 | d_2 | ... of integer columns.
+
+    ``columns`` maps each column key to its nonzero entries {row: int}; row
+    keys are any sortable labels, and the maps are consumed.  Builds no
+    transforms.  While some entry is +-1, pivot on one in a shortest column,
+    clear its row from the other columns and drop its row and column with
+    factor 1; the rest, with no unit entry, goes to the dense Smith core.
+    Smith invariants are unique, so the pivot choice cannot change the
+    result.
     """
-    if m.ring != ZZ:
-        raise RingMismatch("invariant_factors is for integer matrices")
-    cols = ({i: x for i, x in enumerate(col) if x} for col in zip(*m.data))
-    live = {j: col for j, col in enumerate(cols) if col}
+    live = {j: col for j, col in columns.items() if col}
     units = 0
     while True:
         best = None
@@ -491,19 +513,39 @@ class ModuleInvariants:
 
 
 def chain_homology_invariants(diffs, ring=ZZ):
+    """``column_homology_invariants`` of integer matrices d_n, n = 0..N."""
+    for d1, d2 in zip(diffs, diffs[1:]):
+        if d1.cols != d2.rows:
+            raise ValueError("shape mismatch %dx%d * %dx%d"
+                             % (d1.rows, d1.cols, d2.rows, d2.cols))
+    return column_homology_invariants([integer_columns(d) for d in diffs],
+                                      ring)
+
+
+def column_homology_invariants(diffs, ring=ZZ):
     """H_0..H_{N-1} over ``ring`` of integer d_n: C_n -> C_{n-1}, n = 0..N.
 
-    Universal coefficients, one Smith diagonal per d_n: with r_n its nonzero
-    factors (over F_p, those prime to p), H_n has rank dim C_n - r_n - r_{n+1}
-    and, over Z, torsion the factors of d_{n+1} other than 1.  No generators."""
-    if any(not d1.mul(d2).is_zero() for d1, d2 in zip(diffs, diffs[1:])):
-        raise ChainConditionViolated("d1*d2 != 0")
-    factors = [invariant_factors(d) for d in diffs]
+    Each d_n is given by its columns, {basis key of C_n: {row: int}}, and
+    the row keys of d_{n+1} are basis keys of C_n; the maps are consumed.
+    d_n*d_{n+1} = 0 is checked first (ChainConditionViolated).  Universal
+    coefficients, one Smith diagonal per d_n: with r_n its nonzero factors
+    (over F_p, those prime to p), H_n has rank dim C_n - r_n - r_{n+1} and,
+    over Z, torsion the factors of d_{n+1} other than 1.  No generators."""
+    for d1, d2 in zip(diffs, diffs[1:]):
+        for col in d2.values():
+            image = {}
+            for i, x in col.items():
+                for r, y in d1[i].items():
+                    image[r] = image.get(r, 0) + x * y
+            if any(image.values()):
+                raise ChainConditionViolated("d1*d2 != 0")
+    dims = [len(d) for d in diffs]
+    factors = [column_invariant_factors(d) for d in diffs]
     if ring.kind == "Fp":
         factors = [[x for x in f if x % ring.p] for f in factors]
-    return [ModuleInvariants(rank=d.cols - len(f1) - len(f2), torsion=[
+    return [ModuleInvariants(rank=dim - len(f1) - len(f2), torsion=[
                 x for x in f2 if x != 1] if ring.kind == "Z" else [])
-            for d, f1, f2 in zip(diffs, factors, factors[1:])]
+            for dim, f1, f2 in zip(dims, factors, factors[1:])]
 
 
 def module_gen_rel(presentation_matrix, ring=None):

@@ -47,26 +47,26 @@ from .freealg import (
 )
 from .pcalg import PCAlgebra, SquarefreeModel, commutator_value, evaluate
 from .simplicial import (
+    FaceIndex,
     SimplicialCycle,
     all_subsets,
     is_cycle,
-    path_components,
-    reduced_betti0,
     reduced_homology,
-    reduced_homology_invariants,
     require_flag,
     theta_set,
 )
 
 
 class Context:
-    """One computation's flag complex (checked once) and memos."""
+    """One computation's flag complex (checked once), its face index and
+    memos."""
 
     def __init__(self, k):
         require_flag(k)
         self.complex = k
+        self.faces = FaceIndex(k)
         self.rewrites = {}  # (J, i) -> rewrite_chat
-        self.chat_texts = {}  # (ring, J, i) -> _chat_text
+        self.chat_texts = {}  # (ring kind, p, J, i) -> _chat_text
         self.algebra_by_ring = {}
         self.model_by_ring = {}
         self.cycles = {}  # (ring, J, degree) -> nonzero reduced_homology
@@ -84,14 +84,17 @@ class Context:
         return self.model_by_ring[ring]
 
     def homology(self, j_set, ring, degree):
-        """``reduced_homology`` of K_J; a nonzero one is kept for reuse."""
+        """``reduced_homology`` of K_J, lifted only where the face index
+        finds it nonzero; a nonzero one is kept for reuse."""
         key = (ring, j_set, degree)
         if key in self.cycles:
             return self.cycles[key]
-        result = reduced_homology(self.complex, j_set, ring, degree=degree)
-        if result[0].is_zero():
-            return result
-        return self.cycles.setdefault(key, result)
+        inv = self.faces.homology_invariants(j_set, ring,
+                                             (degree, degree + 1))[0]
+        if inv.is_zero():
+            return inv, []
+        return self.cycles.setdefault(key, reduced_homology(
+            self.complex, j_set, ring, degree=degree))
 
 
 def _context(k):
@@ -186,13 +189,13 @@ def _rewrite_uncached(ctx, j_set, i):
     top = max(j_set)
     if i == top:
         return rewrite_chat(ctx, j_set, max(j_set - {i}))
-    comp = next(c for c in path_components(ctx.complex, j_set) if i in c)
-    if top in comp:
+    comp = next(c for c in ctx.faces.components(j_set) if c >> (i - 1) & 1)
+    if comp >> (top - 1) & 1:
         if top in ctx.complex.adjacency[i]:
             return FreePolynomial.zero(ZZ)
         neighbor = _first_edge_of_shortest_path(ctx.complex, j_set, i, top)
         return _solve_rearrangement(ctx, j_set, i, neighbor)
-    anchor = min(comp)
+    anchor = (comp & -comp).bit_length()  # the smallest vertex
     if i == anchor:
         return FreePolynomial.generator(gptw_symbol(j_set, i), ZZ)
     neighbor = _first_edge_of_shortest_path(ctx.complex, j_set, i, anchor)
@@ -396,12 +399,12 @@ class Presentation:
     context: Context = field(compare=False, repr=False)
 
 
-def _certificate(k):
+def _certificate(ctx):
     cert = PresentationCertificate()
-    for j_set in all_subsets(k.m):
+    for j_set in all_subsets(ctx.complex.m):
         if not j_set:
             continue
-        b0 = reduced_betti0(k, j_set)
+        b0 = ctx.faces.betti0(j_set)
         if b0:
             cert.b0_by_j[j_set] = b0
             n = len(j_set)
@@ -424,7 +427,7 @@ def build_presentation(k, ring=ZZ, grading="multi"):
         raise ValueError("grading must be 'multi' or 'z'")
     ctx = _context(k)
     generators = gptw_generators(ctx, ring)
-    cert = _certificate(ctx.complex)
+    cert = _certificate(ctx)
 
     # one block of (J, cycle, invariant factor) entries per J (multigraded)
     # or per |J| (z-graded); Smith reduction of the block's factors merges
@@ -581,13 +584,9 @@ def verify_presentation(k, presentation):
 def is_free_loop_algebra(k, ring=ZZ):
     """True iff the loop homology algebra is free: H_1(K_J; ring) = 0
     for every J (no relations in any minimal presentation)."""
-    require_flag(k)
-    for j_set in all_subsets(k.m):
-        if len(j_set) < 3:
-            continue
-        if not reduced_homology_invariants(k, j_set, ring, degree=2).is_zero():
-            return False
-    return True
+    faces = _context(k).faces
+    return all(faces.homology_invariants(j_set, ring, (2, 3))[0].is_zero()
+               for j_set in all_subsets(faces.m) if len(j_set) >= 3)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +594,7 @@ def is_free_loop_algebra(k, ring=ZZ):
 # ---------------------------------------------------------------------------
 
 def _chat_text(ctx, ring, j_set, i):
-    key = (ring, j_set, i)  # rendered once per context
+    key = (ring.kind, ring.p, j_set, i)  # rendered once per context
     if key in ctx.chat_texts:
         return ctx.chat_texts[key]
     poly = rewrite_chat(ctx, j_set, i).convert_ring(ring)

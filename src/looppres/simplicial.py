@@ -9,18 +9,28 @@ Reduced homology uses the augmented chain complex: the empty face spans
 degree -1, and d([I]) = sum_{i in I} (-1)^{|I_<i|} [I \\ i].  With this
 convention the homology of K_empty = {emptyset} is the coefficient ring in
 augmented degree -1, which every downstream Tor bookkeeping formula needs.
+
+Sweeps over all 2^m subsets J read a ``FaceIndex``, built once per complex:
+the faces by size as vertex bitmasks, each with the index positions and signs
+of its boundary.  The faces of K_J are then a mask test, the boundary of K_J
+is a set of sparse integer columns for ``exactlin.column_homology_invariants``
+and path components are a breadth-first search on neighbor masks.
+``boundary_matrix`` stays the dense single-J matrix from which
+``reduced_homology`` lifts cycles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import EmptySubset, FaceOutsideJ, NotFlag, VertexOutOfRange
 from .exactlin import (
     ZZ,
     ExactMatrix,
     chain_homology_invariants,
+    column_homology_invariants,
     homology_with_representatives,
 )
 
@@ -220,6 +230,47 @@ def _vertex_subset(k, j):
     return j
 
 
+def _mask(vertices):
+    """Bitmask of vertices >= 1: bit v-1 for vertex v."""
+    return sum(map((1).__lshift__, vertices)) >> 1
+
+
+def _vertex_mask(m, j):
+    """J as a bitmask, refused with VertexOutOfRange unless J lies in [m]."""
+    j = frozenset(j)
+    if j and (min(j) < 1 or max(j) > m):
+        bad = min(v for v in j if not 1 <= v <= m)
+        raise VertexOutOfRange("vertex %r not in [1..%d]" % (bad, m))
+    return _mask(j)
+
+
+def _vertices(mask):
+    """The vertices of a bitmask, increasing."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return tuple(out)
+
+
+def _components(neighbors, jmask):
+    """Bitmasks of the components of the graph on ``jmask``, by smallest
+    vertex; ``neighbors[v]`` is the neighbor mask of vertex v."""
+    comps = []
+    while jmask:
+        comp = frontier = jmask & -jmask
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = neighbors[low.bit_length()] & jmask & ~comp
+            comp |= new
+            frontier |= new
+        jmask ^= comp
+        comps.append(comp)
+    return comps
+
+
 def faces_within(k, j, size):
     j = _vertex_subset(k, j)
     return [f for f in k.faces_of_size(size) if f <= j]
@@ -230,20 +281,10 @@ def path_components(k, j):
 
     Returned as sorted tuples, ordered by smallest vertex.
     """
-    jset = _vertex_subset(k, j)
-    seen = set()
-    comps = []
-    for start in sorted(jset):
-        if start in seen:
-            continue
-        seen.add(start)
-        comp = [start]
-        for v in comp:  # the list grows while it is walked: a BFS
-            new = (k.adjacency[v] & jset) - seen
-            seen |= new
-            comp.extend(new)
-        comps.append(tuple(sorted(comp)))
-    return comps
+    jmask = _vertex_mask(k.m, j)
+    adj = k.adjacency
+    neighbors = {v: _mask(adj[v]) for v in _vertices(jmask)}
+    return [_vertices(c) for c in _components(neighbors, jmask)]
 
 
 def theta_set(k, j):
@@ -353,6 +394,62 @@ def reduced_betti0(k, j):
     return len(path_components(k, j)) - 1
 
 
+class FaceIndex:
+    """The faces of K by size as vertex bitmasks, with their boundaries.
+
+    Built once per complex, it serves every all-J sweep without a dense
+    matrix.  ``masks[n]`` lists the faces with n vertices in
+    ``faces_of_size(n)`` order, as bitmasks (bit v-1 for vertex v), and
+    ``boundary[n][t]`` holds the (position in ``masks[n-1]``, sign) pairs of
+    d(face t), by increasing position; ``neighbors[v]`` is the neighbor mask
+    of vertex v.  The faces of K_J are those whose mask lies in J's, so the
+    boundary of K_J keys its columns and rows by positions in the index.
+    """
+
+    __slots__ = ("m", "masks", "boundary", "neighbors")
+
+    def __init__(self, k):
+        self.m = k.m
+        self.masks, self.boundary = [], []
+        place = {}
+        for n in range(k.dim() + 2):
+            faces = k.faces_of_size(n)
+            masks = [_mask(f) for f in faces]
+            self.boundary.append([tuple(sorted(
+                (place[mask ^ (1 << (v - 1))], -1 if pos % 2 else 1)
+                for pos, v in enumerate(sorted(f))))
+                for f, mask in zip(faces, masks)])
+            self.masks.append(masks)
+            place = {mask: t for t, mask in enumerate(masks)}
+        self.neighbors = [0] * (k.m + 1)
+        for v, adj in k.adjacency.items():
+            self.neighbors[v] = _mask(adj)
+
+    def columns(self, j, n):
+        """d from faces of size n to size n-1 in K_J: {position: {row
+        position: +-1}}, the augmented ``boundary_matrix`` by columns."""
+        if n >= len(self.masks):
+            return {}
+        out = ~_vertex_mask(self.m, j)
+        bd = self.boundary[n]
+        return {t: dict(bd[t]) for t, f in enumerate(self.masks[n])
+                if not f & out}
+
+    def homology_invariants(self, j, ring, sizes):
+        """``column_homology_invariants`` of d_n on K_J for n in ``sizes``:
+        H-tilde_{n-1}(K_J; ring) for each n but the last."""
+        return column_homology_invariants(
+            [self.columns(j, n) for n in sizes], ring)
+
+    def components(self, j):
+        """``path_components`` of K_J, as bitmasks."""
+        return _components(self.neighbors, _vertex_mask(self.m, j))
+
+    def betti0(self, j):
+        """``reduced_betti0`` of K_J."""
+        return max(len(self.components(j)) - 1, 0)
+
+
 def reduced_euler_characteristic(k, j):
     """chi-tilde(K_J), with chi-tilde of the empty complex = -1."""
     j = frozenset(j)
@@ -400,12 +497,11 @@ def reduced_euler_polynomial(k):
 
 
 def all_subsets(m):
-    """Subsets of [m] ordered by (size, bitmask) for deterministic sweeps."""
-    subs = []
-    for mask in range(1 << m):
-        subs.append(frozenset(i + 1 for i in range(m) if mask >> i & 1))
-    subs.sort(key=lambda s: (len(s), sorted(s)))
-    return subs
+    """Subsets of [m] for deterministic sweeps: by size, then by sorted
+    vertex tuple (the order ``combinations`` gives)."""
+    vertices = range(1, m + 1)
+    return [frozenset(c) for size in range(m + 1)
+            for c in combinations(vertices, size)]
 
 
 # ---------------------------------------------------------------------------

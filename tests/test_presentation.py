@@ -519,6 +519,25 @@ def test_complex_holds_no_memo_state():
     assert set(vars(k)) == fields
 
 
+def test_rendered_rewrites_are_looked_up_without_hashing_the_ring(
+        monkeypatch):
+    # the rendered-rewrite memo is read twice per alive bracket; its key
+    # must not go through the Python-level CoefficientRing.__hash__
+    from looppres.exactlin import CoefficientRing
+    ctx = Context(HEXAGON)
+    pres = build_presentation(ctx, GF(3))
+    texts = [render_relation(ctx, rel) for rel in pres.relations]
+    calls = []
+    real = CoefficientRing.__hash__
+
+    def counted(ring):
+        calls.append(ring)
+        return real(ring)
+    monkeypatch.setattr(CoefficientRing, "__hash__", counted)
+    assert [render_relation(ctx, rel) for rel in pres.relations] == texts
+    assert texts and calls == []
+
+
 def check_rows(report):
     return {name: (ok, detail) for name, ok, detail in report.checks}
 

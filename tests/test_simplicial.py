@@ -2,11 +2,25 @@ import random
 
 import pytest
 
-from corpus import rp2_flag12
+from corpus import gnp_flag, rp2_flag12
 
-from looppres.errors import ChainConditionViolated, EmptySubset
-from looppres.exactlin import GF, QQ, ZZ, ExactMatrix, module_gen_rel
+from looppres.errors import (
+    ChainConditionViolated,
+    EmptySubset,
+    VertexOutOfRange,
+)
+from looppres.exactlin import (
+    GF,
+    QQ,
+    ZZ,
+    ExactMatrix,
+    chain_homology_invariants,
+    integer_columns,
+    module_gen_rel,
+)
+from looppres.presentation import Context, build_presentation
 from looppres.simplicial import (
+    FaceIndex,
     SimplicialComplex,
     all_subsets,
     boundary_matrix,
@@ -346,3 +360,94 @@ def test_chain_boundary_matches_matrix():
         if val:
             expected[e] = val
     assert bmap == expected
+
+
+def test_all_subsets_in_size_then_sorted_order():
+    for m in range(13):
+        masks = range(1 << m)
+        old = sorted((frozenset(i + 1 for i in range(m) if mask >> i & 1)
+                      for mask in masks), key=lambda s: (len(s), sorted(s)))
+        assert all_subsets(m) == old, m
+
+
+def _check_index_against_dense(k, subsets):
+    faces = FaceIndex(k)
+    for j in subsets:
+        for n in range(5):
+            # the columns are boundary_matrix's, keyed by index positions,
+            # in the same order, so the elimination pivots the same way
+            cols = faces.columns(j, n)
+            local = {key: t for t, key in enumerate(
+                faces.columns(j, n - 1) if n else ())}
+            dense = integer_columns(boundary_matrix(k, j, n))
+            assert list(dense) == list(range(len(cols)))
+            assert [[(local[r], x) for r, x in col.items()]
+                    for col in cols.values()] == [
+                        list(col.items()) for col in dense.values()]
+        for ring in (ZZ, QQ, GF(2), GF(3)):
+            for n in range(4):
+                want = chain_homology_invariants(
+                    [boundary_matrix(k, j, s) for s in (n, n + 1)], ring)
+                assert faces.homology_invariants(j, ring, (n, n + 1)) == \
+                    want, (k, sorted(j), ring, n)
+        assert [tuple(sorted(c)) for c in path_components(k, j)] == [
+            tuple(v + 1 for v in range(k.m) if c >> v & 1)
+            for c in faces.components(j)]
+        assert faces.betti0(j) == reduced_betti0(k, j)
+
+
+@pytest.mark.parametrize("name", ["rp2_minimal", "octahedron", "gnp"])
+def test_face_index_matches_dense_boundaries(name):
+    if name == "gnp":
+        rng = random.Random(15)
+        complexes = [gnp_flag(rng.randint(4, 8), seed, p=rng.uniform(0.3, 0.7))
+                     for seed in range(1, 11)]
+    else:
+        complexes = [rp2_minimal() if name == "rp2_minimal" else octahedron()]
+    for k in complexes:
+        _check_index_against_dense(k, all_subsets(k.m))
+
+
+def test_face_index_matches_dense_boundaries_flag_rp2():
+    k = rp2_flag12()
+    rng = random.Random(12)
+    sample = [frozenset(rng.sample(range(1, 13), rng.randint(3, 11)))
+              for _ in range(12)]
+    _check_index_against_dense(k, [frozenset(range(1, 13))] + sample)
+    faces = FaceIndex(k)
+    top = faces.homology_invariants(range(1, 13), ZZ, range(15))
+    assert [(h.rank, h.torsion) for h in top] == [
+        (0, [])] * 2 + [(0, [2])] + [(0, [])] * 11
+
+
+def _corrupt(faces, how):
+    """Flip the sign of, or drop, the first boundary entry of the first
+    triangle of a face index."""
+    (pos, sign), *rest = faces.boundary[3][0]
+    faces.boundary[3][0] = tuple(rest) if how == "drop" else (
+        ((pos, -sign),) + tuple(rest))
+
+
+@pytest.mark.parametrize("how", ["flip", "drop"])
+def test_corrupt_face_index_violates_chain_condition(how):
+    k = octahedron()
+    faces = FaceIndex(k)
+    full = frozenset(range(1, 7))
+    assert faces.homology_invariants(full, ZZ, (2, 3))[0].rank == 0
+    _corrupt(faces, how)
+    with pytest.raises(ChainConditionViolated):
+        faces.homology_invariants(full, ZZ, (2, 3))
+    # the build's per-J sweep reads the context's index
+    ctx = Context(k)
+    _corrupt(ctx.faces, how)
+    with pytest.raises(ChainConditionViolated):
+        build_presentation(ctx, ZZ)
+
+
+def test_face_index_refuses_vertices_outside_range():
+    faces = FaceIndex(PENTAGON)
+    for j in ({1, 3, 9}, {0, 1, 3}, {-1}):
+        for call in (lambda: faces.columns(j, 2), lambda: faces.betti0(j),
+                     lambda: faces.homology_invariants(j, ZZ, (2, 3))):
+            with pytest.raises(VertexOutOfRange):
+                call()
