@@ -11,6 +11,8 @@ Input files are JSON objects {"m": int, "facets": [[1-indexed vertices]]};
 
 ``--json`` output is byte for byte what json.dumps gives with indent=2 and
 sort_keys=True, from ``write_json``: json's C encoder runs only without indent.
+``presentation --json`` is streamed relation by relation, each term's text
+formatted at once, with the bytes of the dump of ``presentation_to_dict``.
 """
 
 import argparse
@@ -18,6 +20,8 @@ import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
+from types import GeneratorType
 
 from .errors import ChainConditionViolated, LoopPresError
 from .exactlin import parse_ring
@@ -31,7 +35,8 @@ from .homotopy import (
 from .pcalg import PCAlgebra, graded_dimensions
 from .presentation import (
     build_presentation,
-    presentation_to_dict,
+    presentation_head,
+    relation_head,
     render_relation,
     verify_presentation,
 )
@@ -84,19 +89,26 @@ def load_complex(path, max_m=None):
     return SimplicialComplex.from_json_dict(data, max_m=max_m)
 
 
+class RawJSON(str):
+    """Text that ``write_json`` writes as it stands: a value already encoded,
+    indented for the place where it is written."""
+
+
 def write_json(payload, fp=None):
     """Write payload and a newline to fp (default stdout), as json.dumps would
-    with indent=2 and sort_keys=True; a non-str dict key raises TypeError."""
+    with indent=2 and sort_keys=True; a non-str dict key raises TypeError.
+    A generator is written as a list, one item at a time, so that a long list
+    need never be held whole."""
     fp = sys.stdout if fp is None else fp
     out = []
     put = out.append
 
     def write(obj, pad):  # pad: newline and indent of obj's own line
         if isinstance(obj, str):
-            put(encode_basestring_ascii(obj))
+            put(obj if type(obj) is RawJSON else encode_basestring_ascii(obj))
         elif type(obj) is int:  # as json writes it, without its overhead
             put(repr(obj))
-        elif not (isinstance(obj, (dict, list, tuple)) and obj):
+        elif not (isinstance(obj, (dict, list, tuple, GeneratorType)) and obj):
             put(json.dumps(obj))
         elif isinstance(obj, dict):
             inner = pad + "  "
@@ -113,13 +125,46 @@ def write_json(payload, fp=None):
                 put(sep)
                 write(item, inner)
                 sep = "," + inner
-            put(pad + "]")
-        if len(out) >= 1 << 14:
+            put(pad + "]" if sep[0] == "," else "[]")  # [] from a generator
+        if len(out) >= 1 << 10:
             fp.write("".join(out))
             out.clear()
 
     write(payload, "\n")
     fp.write("".join(out) + "\n")
+
+
+def _term_texts(terms, texts):
+    """The JSON text of each term {"coeff", "word"} of a relation's
+    ``poly.terms`` (nonempty words), in ``presentation_to_dict``'s order, as
+    ``write_json`` writes it in its place; ``texts`` keeps each symbol's."""
+    order = sorted(set().union(*terms), key=attrgetter("_key"))
+    rank = dict(zip(order, range(len(order)))).__getitem__
+    pad = "\n" + "  " * 4  # a term's line: document, relations, relation, terms
+    key_pad = pad + "  "
+    for s in order:
+        if s not in texts:
+            texts[s] = key_pad + "  " + encode_basestring_ascii(s._text)
+    text, heads, tail = texts.__getitem__, {}, key_pad + "]" + pad + "}"
+    # ranks order words as word_sort_key does: symbols' keys are distinct
+    for w in sorted(terms, key=lambda w: tuple(map(rank, w))):
+        c = terms[w]
+        head = heads.get(c)
+        if head is None:
+            head = heads[c] = '{%s"coeff": %s,%s"word": [' % (
+                key_pad, encode_basestring_ascii(str(c)), key_pad)
+        yield RawJSON(head + ",".join(map(text, w)) + tail)
+
+
+def write_presentation_json(pres, fp=None):
+    """``write_json(presentation_to_dict(pres), fp)``, made and written one
+    relation at a time."""
+    texts = {}
+    doc = presentation_head(pres)
+    doc["relations"] = (dict(relation_head(pres.context, rel),
+                             terms=_term_texts(rel.poly.terms, texts))
+                        for rel in pres.relations)
+    write_json(doc, fp)
 
 
 def emit(payload, as_json):
@@ -172,7 +217,7 @@ def cmd_analyze(k, args, ring, flag_ok, witness):
 def cmd_presentation(k, args, ring):
     pres = build_presentation(k, ring, args.grading)
     if args.as_json:
-        write_json(presentation_to_dict(pres))
+        write_presentation_json(pres)
         return EXIT_OK
     print("generators: %d" % len(pres.generators))
     for g in pres.generators:

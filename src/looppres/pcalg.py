@@ -55,6 +55,7 @@ class PCAlgebra:
         self.ring = ring
         self.m = complex_.m
         self.adjacent = complex_.adjacency
+        self.letters = ["u%d" % v for v in range(self.m + 1)]  # for render
         self._gen_cache = {}
         self._cvalue_cache = {}
 
@@ -226,8 +227,9 @@ class PCElement:
         if not self.terms:
             return "0"
         parts = []
+        letter = self.algebra.letters.__getitem__
         for w, c in self.terms:
-            body = "*".join("u%d" % v for v in w) if w else "1"
+            body = "*".join(map(letter, w)) if w else "1"
             c_str = str(c)
             if c_str == "1":
                 parts.append(body)

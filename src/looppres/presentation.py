@@ -51,9 +51,8 @@ from .simplicial import (
     SimplicialCycle,
     all_subsets,
     is_cycle,
-    reduced_homology,
+    lift_homology,
     require_flag,
-    theta_set,
 )
 
 
@@ -93,8 +92,8 @@ class Context:
                                              (degree, degree + 1))[0]
         if inv.is_zero():
             return inv, []
-        return self.cycles.setdefault(key, reduced_homology(
-            self.complex, j_set, ring, degree=degree))
+        return self.cycles.setdefault(key, lift_homology(
+            self.complex, j_set, ring, degree))
 
 
 def _context(k):
@@ -134,7 +133,12 @@ def gptw_generators(k, ring=ZZ):
     for j_set in all_subsets(ctx.complex.m):
         if len(j_set) < 2:
             continue
-        for i in sorted(theta_set(ctx.complex, j_set)):
+        # Theta(J): the least vertex of each component that misses max(J)
+        top = 1 << (max(j_set) - 1)
+        for comp in ctx.faces.components(j_set):
+            if comp & top:
+                continue
+            i = (comp & -comp).bit_length()
             value = commutator_value(algebra, j_set - {i}, i)
             assert not value.is_zero(), (sorted(j_set), i)
             out.append(GptwGenerator(j_set=j_set, i=i,
@@ -633,8 +637,33 @@ def render_relation(k, relation):
 
 def presentation_to_dict(presentation):
     """JSON-ready dictionary with deterministic ordering."""
+    doc = presentation_head(presentation)
+    doc["relations"] = rels = []
+    for rel in presentation.relations:
+        terms = rel.poly.terms
+        word_terms = [{"coeff": str(terms[w]), "word": [s._text for s in w]}
+                      for w in sorted(terms, key=word_sort_key)]
+        rels.append(dict(relation_head(presentation.context, rel),
+                         terms=word_terms))
+    return doc
+
+
+def relation_head(k, rel):
+    """A relation's ``presentation_to_dict`` entry but its ``terms``."""
+    return {
+        "degree": rel.degree,
+        "parts": [{
+            "J": sorted(j_set),
+            "cycle": [{"face": sorted(f), "coeff": str(c)}
+                      for f, c in kappa.terms],
+        } for j_set, kappa in rel.parts],
+        "rendered": render_relation(k, rel),
+    }
+
+
+def presentation_head(presentation):
+    """``presentation_to_dict`` but its ``relations``."""
     k = presentation.complex
-    ring = presentation.ring
     gens = []
     for g in presentation.generators:
         gens.append({
@@ -644,28 +673,12 @@ def presentation_to_dict(presentation):
             "symbol": g.symbol.render(),
             "value": g.value.render(),
         })
-    rels = []
-    for rel in presentation.relations:
-        terms = rel.poly.terms
-        word_terms = [{"coeff": str(terms[w]), "word": [s._text for s in w]}
-                      for w in sorted(terms, key=word_sort_key)]
-        rels.append({
-            "degree": rel.degree,
-            "parts": [{
-                "J": sorted(j_set),
-                "cycle": [{"face": sorted(f), "coeff": str(c)}
-                          for f, c in kappa.terms],
-            } for j_set, kappa in rel.parts],
-            "rendered": render_relation(presentation.context, rel),
-            "terms": word_terms,
-        })
     cert = presentation.counts_certificate
     return {
         "m": k.m,
-        "ring": repr(ring),
+        "ring": repr(presentation.ring),
         "grading": presentation.grading,
         "generators": gens,
-        "relations": rels,
         "certificate": {
             "b0_by_J": [{"J": sorted(j), "b0": v}
                         for j, v in sorted(cert.b0_by_j.items(),

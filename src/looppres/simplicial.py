@@ -16,7 +16,7 @@ of its boundary.  The faces of K_J are then a mask test, the boundary of K_J
 is a set of sparse integer columns for ``exactlin.column_homology_invariants``
 and path components are a breadth-first search on neighbor masks.
 ``boundary_matrix`` stays the dense single-J matrix from which
-``reduced_homology`` lifts cycles.
+``lift_homology`` lifts cycles.
 """
 
 from __future__ import annotations
@@ -365,19 +365,22 @@ def reduced_homology(k, j, ring=ZZ, degree=1):
     the generator representatives (torsion generators first).
     """
     j = frozenset(j)
-    n = degree
-    diffs = [boundary_matrix(k, j, s) for s in (n, n + 1)]
-    inv = chain_homology_invariants(diffs, ring)[0]
-    if not inv.is_zero():  # lift cycles, over ring, only when there are any
-        inv = homology_with_representatives(*(
-            ExactMatrix.from_rows(d.data, ring, cols=d.cols) for d in diffs))
-    basis = faces_within(k, j, n)
-    cycles = []
-    for vec in inv.generators:
-        terms = tuple((basis[i], c) for i, c in enumerate(vec)
-                      if not ring.is_zero(c))
-        cycles.append(SimplicialCycle(j=j, dimension=n - 1, terms=terms))
-    return inv, cycles
+    inv = reduced_homology_invariants(k, j, ring, degree)
+    if inv.is_zero():  # lift cycles, over ring, only when there are any
+        return inv, []
+    return lift_homology(k, j, ring, degree)
+
+
+def lift_homology(k, j, ring=ZZ, degree=1):
+    """``reduced_homology`` for a caller that already knows it is nonzero:
+    the cycles are lifted without computing the invariants first."""
+    j = frozenset(j)
+    inv = homology_with_representatives(*(
+        boundary_matrix(k, j, n, ring) for n in (degree, degree + 1)))
+    basis = faces_within(k, j, degree)
+    return inv, [SimplicialCycle(j=j, dimension=degree - 1, terms=tuple(
+        (basis[i], c) for i, c in enumerate(vec) if not ring.is_zero(c)))
+        for vec in inv.generators]
 
 
 def reduced_homology_invariants(k, j, ring=ZZ, degree=1):

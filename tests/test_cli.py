@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import json
 import random
 
@@ -10,7 +11,7 @@ import looppres.presentation as presentation
 import looppres.torbar as torbar
 from corpus import gnp_flag
 from looppres.cli import load_complex, main
-from looppres.exactlin import GF, ZZ
+from looppres.exactlin import GF, ZZ, parse_ring
 from looppres.presentation import (
     build_presentation,
     presentation_to_dict,
@@ -19,7 +20,9 @@ from looppres.presentation import (
 from looppres.simplicial import (
     all_subsets,
     cycle_complex,
+    lift_homology,
     octahedron,
+    path_complex,
     reduced_homology,
     rp2_minimal,
 )
@@ -162,10 +165,23 @@ def test_presentation_json_roundtrip(pentagon_file, capsys):
     assert json.dumps(data, indent=2, sort_keys=True) == out.strip()
 
 
+def assert_presentation_json_is_dict_dump(tmp_path, capsys, k, name):
+    # presentation --json streams its document: byte for byte the indented
+    # dump of presentation_to_dict, over each ring and grading
+    path = write(tmp_path, name, k.to_json_dict())
+    for ring, grading in itertools.product(("Z", "F2", "Q"), ("multi", "z")):
+        pres = build_presentation(load_complex(path), parse_ring(ring),
+                                  grading)
+        assert main(["presentation", path, "--json", "--ring", ring,
+                     "--grading", grading]) == 0
+        assert capsys.readouterr().out == json.dumps(
+            presentation_to_dict(pres), indent=2, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("m", [5, 6])
 def test_presentation_json_matches_dumps(monkeypatch, tmp_path, capsys, m):
-    # every --json output is byte for byte the one-shot indented dump of the
-    # payload the command built
+    # every other --json output is byte for byte the one-shot indented dump
+    # of the payload the command built
     path = write(tmp_path, "gon%d.json" % m,
                  {"m": m, "facets": [[i, i % m + 1] for i in range(1, m + 1)]})
     payloads = []
@@ -175,17 +191,24 @@ def test_presentation_json_matches_dumps(monkeypatch, tmp_path, capsys, m):
         payloads.append(payload)
         real(payload, fp)
     monkeypatch.setattr(cli, "write_json", recorded)
-    for command in ("presentation", "analyze", "homotopy", "hilbert",
-                    "verify"):
+    for command in ("analyze", "homotopy", "hilbert", "verify"):
         payloads.clear()
         assert main([command, path, "--json", "--trunc", "6"]) == 0
         assert len(payloads) == 1, command
         assert capsys.readouterr().out == json.dumps(
             payloads[0], indent=2, sort_keys=True) + "\n", command
-    pres = build_presentation(load_complex(path), ZZ, "multi")
-    assert main(["presentation", path, "--json"]) == 0
-    assert capsys.readouterr().out == json.dumps(
-        presentation_to_dict(pres), indent=2, sort_keys=True) + "\n"
+    monkeypatch.undo()
+    assert_presentation_json_is_dict_dump(tmp_path, capsys, cycle_complex(m),
+                                          "gon%d.json" % m)
+
+
+@pytest.mark.parametrize("name", ["G(7,0.4) draw 1", "path on 4 vertices"])
+def test_presentation_json_streams_dict_bytes(tmp_path, capsys, name):
+    k = gnp_flag(7, 1, p=0.4) if name.startswith("G") else path_complex(4)
+    assert_presentation_json_is_dict_dump(tmp_path, capsys, k, "k.json")
+    if k.m == 4:  # no 1-cycles, so no relations
+        assert main(["presentation", str(tmp_path / "k.json"), "--json"]) == 0
+        assert '\n  "relations": [],\n' in capsys.readouterr().out
 
 
 def random_payload(rng, depth=0):
@@ -235,14 +258,15 @@ def test_write_json_refuses_non_str_keys(payload):
         cli.write_json(payload, io.StringIO())
 
 
+class Recorder:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
 def test_write_json_writes_in_bounded_chunks():
-    class Recorder:
-        def __init__(self):
-            self.writes = []
-
-        def write(self, text):
-            self.writes.append(text)
-
     payload = {"rows": [{"coeff": str(n), "word": ["u%d" % n] * 3}
                         for n in range(20000)]}
     fp = Recorder()
@@ -250,6 +274,18 @@ def test_write_json_writes_in_bounded_chunks():
     text = "".join(fp.writes)
     same = text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
     assert same  # not compared in the assert: a diff of 4 MB takes minutes
+    assert len(fp.writes) > 1
+    assert max(map(len, fp.writes)) < len(text) // 4
+
+
+def test_presentation_json_writes_in_bounded_chunks():
+    pres = build_presentation(cycle_complex(8), ZZ, "multi")
+    fp = Recorder()
+    cli.write_presentation_json(pres, fp)
+    text = "".join(fp.writes)
+    same = text == json.dumps(presentation_to_dict(pres), indent=2,
+                              sort_keys=True) + "\n"
+    assert same
     assert len(fp.writes) > 1
     assert max(map(len, fp.writes)) < len(text) // 4
 
@@ -406,14 +442,12 @@ def test_verify_json_pinned_m8(tmp_path, capsys, name, ring):
 def test_verify_lifts_each_h1_once(monkeypatch, tmp_path, capsys):
     # the bar-cycle loop reads the H_1 cycles that the build lifted
     seen = []
-    real = reduced_homology
+    real = lift_homology
 
     def counted(k, j_set, ring, degree):
         seen.append((j_set, degree))
-        return real(k, j_set, ring, degree=degree)
-    for module in (presentation, cli):
-        if hasattr(module, "reduced_homology"):
-            monkeypatch.setattr(module, "reduced_homology", counted)
+        return real(k, j_set, ring, degree)
+    monkeypatch.setattr(presentation, "lift_homology", counted)
     for k in (cycle_complex(6), gnp_flag(7, 1, p=0.4), octahedron()):
         seen.clear()
         code, _, _ = verify_json(tmp_path, capsys, k, "Z")

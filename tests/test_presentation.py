@@ -75,6 +75,16 @@ def test_gptw_generator_counts():
     assert gptw_generators(simplex(4)) == []
 
 
+def test_gptw_generators_are_theta_pairs():
+    # the build reads Theta(J) off the face index: the same (J, i) as theta_set
+    for k in (PENTAGON, SQUARE, path_complex(5), gnp_flag(8, 1, p=0.4),
+              gnp_flag(8, 2, p=0.4)):
+        want = [(j, i) for j in all_subsets(k.m) if len(j) > 1
+                for i in sorted(theta_set(k, j))]
+        got = [(g.j_set, g.i) for g in gptw_generators(k)]
+        assert len(got) == len(want) and set(got) == set(want)
+
+
 def test_gptw_values_nonzero_and_correct():
     alg = pc_algebra(PENTAGON, ZZ)
     for g in gptw_generators(PENTAGON):
