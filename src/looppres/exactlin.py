@@ -77,6 +77,14 @@ class CoefficientRing:
     def is_zero(self, a):
         return a == 0
 
+    def settle(self, acc):
+        """A dict summed with plain + and *, as ring elements: reduced mod p
+        over F_p, zeros dropped."""
+        p = self.p
+        if p:
+            return {k: r for k, c in acc.items() if (r := c % p)}
+        return {k: c for k, c in acc.items() if c}
+
     def is_unit(self, a):
         if self.kind == "Z":
             return a in (1, -1)

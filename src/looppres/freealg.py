@@ -7,10 +7,11 @@ the nested commutator c(J \\ i, u_i), of total degree |J| and multidegree
 word hashes at C speed.  Words are plain tuples of symbols, polynomials are
 word -> coefficient maps, and nothing is ever rewritten: equality in this
 layer is literal coefficient equality, which is what makes it a trustworthy
-substrate for the sign-identity test suite.  Long sums run in place on a
-dict: ``accumulate`` drops cancelled words as it goes, while ``add_bracket``
-(the one bracket loop, given the total degrees) and ``__mul__`` use plain +
-and * and leave reduction mod p and zeros to one ``settle`` at the end.
+substrate for the sign-identity test suite.  Every sum runs in place on a
+dict with plain + and *: ``accumulate`` adds a polynomial, ``add_bracket``
+(the one bracket loop, given the total degrees) a bracket, and one
+``settle`` at the end reduces mod p and drops the zeros
+(``CoefficientRing.settle``).
 
 Sign conventions (total degree drives all Koszul signs):
 
@@ -152,7 +153,7 @@ class FreePolynomial:
         return cls.monomial((symbol,), 1, ring)
 
     @classmethod
-    def _wrap(cls, ring, terms):  # raw constructor: terms holds no zero
+    def _wrap(cls, ring, terms):  # raw constructor: terms are settled
         poly = object.__new__(cls)
         poly.ring, poly.terms = ring, terms
         return poly
@@ -167,7 +168,7 @@ class FreePolynomial:
         self._check(other)
         out = dict(self.terms)
         accumulate(out, other)
-        return FreePolynomial._wrap(self.ring, out)
+        return settle(out, self.ring)
 
     def __neg__(self):
         ring = self.ring
@@ -240,44 +241,35 @@ class FreePolynomial:
         return min(self.terms, key=word_sort_key)
 
     def render(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for w in sorted(self.terms, key=word_sort_key):
-            c = self.terms[w]
-            body = "*".join(map(_symbol_text, w)) if w else "1"
-            parts.append(_render_term(c, body))
-        text = parts[0] + "".join(
-            " %s %s" % (p[0], p[1:]) if p[0] in "+-" else " + " + p
-            for p in parts[1:])
-        return text
+        terms = self.terms
+        return render_sum((terms[w], "*".join(map(_symbol_text, w)) or "1")
+                          for w in sorted(terms, key=word_sort_key))
 
     def __repr__(self):
         return self.render()
 
 
-def _render_term(coeff, body):
-    c = str(coeff)
-    if c == "1":
-        return body
-    if c == "-1":
-        return "-" + body
-    return "%s*%s" % (c, body)
+def render_sum(terms):
+    """Text of a signed sum of (coefficient, body) pairs: ``b1 - 2*b2 + b3``,
+    a unit coefficient left out; "0" for no terms."""
+    parts = []
+    for coeff, body in terms:
+        c = str(coeff)
+        parts.append(body if c == "1" else "-" + body if c == "-1"
+                     else "%s*%s" % (c, body))
+    if not parts:
+        return "0"
+    return parts[0] + "".join(
+        " %s %s" % (p[0], p[1:]) if p[0] in "+-" else " + " + p
+        for p in parts[1:])
 
 
 def accumulate(acc, poly, coeff=1):
-    """acc += coeff * poly in place on a word -> coefficient dict over
-    poly.ring, in time linear in poly; cancelled words are dropped."""
-    ring = poly.ring
-    c = ring.from_int(coeff) if isinstance(coeff, int) else coeff
-    unit = c == ring.one()
-    zero = ring.zero()
+    """acc += coeff * poly in place on a word -> coefficient dict, with
+    plain + and *: ``settle`` reduces mod p and drops zeros after."""
+    get = acc.get
     for w, x in poly.terms.items():
-        v = ring.add(acc.get(w, zero), x if unit else ring.mul(c, x))
-        if ring.is_zero(v):
-            acc.pop(w, None)
-        else:
-            acc[w] = v
+        acc[w] = get(w, 0) + coeff * x
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +299,8 @@ def add_bracket(acc, x, y, dx, dy, coeff=1):
 
 
 def settle(acc, ring=ZZ):
-    """The polynomial of a dict summed with plain + and *: reduced mod p
-    over F_p, zeros dropped."""
-    if ring.p:
-        acc = {w: c % ring.p for w, c in acc.items()}
-    return FreePolynomial._wrap(ring, {w: c for w, c in acc.items() if c})
+    """The polynomial over ``ring`` of a dict summed with plain + and *."""
+    return FreePolynomial._wrap(ring, ring.settle(acc))
 
 
 def graded_commutator(x, y):
@@ -392,7 +381,7 @@ def expand_uI_x(i_set, x):
         sign = (koszul_theta(a, b) + dx * len(b)) % 2
         term = nested_commutator(a, x) * u_word(b, x.ring)
         accumulate(out, term, -1 if sign else 1)
-    return FreePolynomial._wrap(x.ring, out)
+    return settle(out, x.ring)
 
 
 def expand_uI_uj(i_set, j, ring=ZZ):
@@ -418,7 +407,7 @@ def expand_uI_uj(i_set, j, ring=ZZ):
             tuple(atom_u(v) for v in sorted(i_set) if v > j)
         tail = FreePolynomial.monomial(word, 1, ring)
     accumulate(out, tail, -1 if above % 2 else 1)
-    return FreePolynomial._wrap(ring, out)
+    return settle(out, ring)
 
 
 def expand_c_of_bracket(i_set, x, y):
@@ -432,7 +421,7 @@ def expand_c_of_bracket(i_set, x, y):
         term = graded_commutator(nested_commutator(a, x),
                                  nested_commutator(b, y))
         accumulate(out, term, -1 if sign else 1)
-    return FreePolynomial._wrap(x.ring, out)
+    return settle(out, x.ring)
 
 
 def rearrangement_identity_rhs(j_set, i, j, ring=ZZ):

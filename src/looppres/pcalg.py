@@ -42,7 +42,7 @@ from .errors import (
     VertexOutOfRange,
 )
 from .exactlin import ZZ
-from .freealg import FreePolynomial
+from .freealg import FreePolynomial, render_sum
 from .simplicial import require_flag
 
 
@@ -72,7 +72,8 @@ class PCAlgebra:
         return self._append((), 1, word)
 
     def _append(self, word, sign, letters):
-        """Normal form of sign * word * letters for an already normal word."""
+        """Normal form of sign * word * letters for an already normal word;
+        ``sign`` may be any coefficient, negated once per odd jump."""
         adj = self.adjacent
         out = list(word)
         for x in letters:
@@ -109,20 +110,16 @@ class PCAlgebra:
         acc = {}
         for word, coeff in word_to_coeff.items():
             c = ring.from_int(coeff) if isinstance(coeff, int) else coeff
-            if ring.is_zero(c):
-                continue
             nf = self.normalize(word)
-            if nf is None:
-                continue
-            sign, w = nf
-            acc[w] = ring.add(acc.get(w, ring.zero()),
-                              c if sign == 1 else ring.neg(c))
+            if nf is not None:
+                sign, w = nf
+                acc[w] = acc.get(w, 0) + sign * c
         return self._collect(acc)
 
     def _collect(self, acc):
-        """Element from a {normal word: coefficient} dict, zero sums dropped."""
-        return PCElement(self, tuple(sorted(
-            (w, c) for w, c in acc.items() if not self.ring.is_zero(c))))
+        """Element from a {normal word: coefficient} dict summed with plain
+        + and *."""
+        return PCElement(self, tuple(sorted(self.ring.settle(acc).items())))
 
     def __eq__(self, other):
         return (isinstance(other, PCAlgebra)
@@ -161,10 +158,9 @@ class PCElement:
 
     def __add__(self, other):
         self._check(other)
-        ring = self.algebra.ring
         acc = dict(self.terms)
         for w, c in other.terms:
-            acc[w] = ring.add(acc.get(w, ring.zero()), c)
+            acc[w] = acc.get(w, 0) + c
         return self.algebra._collect(acc)
 
     def __neg__(self):
@@ -193,18 +189,13 @@ class PCElement:
             return self.scale(other)
         self._check(other)
         algebra = self.algebra
-        ring = algebra.ring
         acc = {}
-        zero = ring.zero()
         for w1, c1 in self.terms:
             for w2, c2 in other.terms:
-                nf = algebra._append(w1, 1, w2)
-                if nf is None:
-                    continue
-                sign, w = nf
-                c = ring.mul(c1, c2)
-                acc[w] = ring.add(acc.get(w, zero),
-                                  c if sign == 1 else ring.neg(c))
+                nf = algebra._append(w1, c1 * c2, w2)
+                if nf is not None:
+                    c, w = nf
+                    acc[w] = acc.get(w, 0) + c
         return algebra._collect(acc)
 
     def overline(self):
@@ -224,22 +215,9 @@ class PCElement:
         return self._hash
 
     def render(self):
-        if not self.terms:
-            return "0"
-        parts = []
         letter = self.algebra.letters.__getitem__
-        for w, c in self.terms:
-            body = "*".join(map(letter, w)) if w else "1"
-            c_str = str(c)
-            if c_str == "1":
-                parts.append(body)
-            elif c_str == "-1":
-                parts.append("-" + body)
-            else:
-                parts.append("%s*%s" % (c_str, body))
-        return parts[0] + "".join(
-            " %s %s" % (p[0], p[1:]) if p[0] in "+-" else " + " + p
-            for p in parts[1:])
+        return render_sum((c, "*".join(map(letter, w)) or "1")
+                          for w, c in self.terms)
 
     def __repr__(self):
         return self.render()
@@ -261,7 +239,6 @@ def evaluate(poly, algebra, assignment=None):
         raise RingMismatch("polynomial ring %r vs algebra ring %r"
                            % (poly.ring, algebra.ring))
     assignment = assignment or {}
-    ring = algebra.ring
     prefixes = {(): algebra.one()}
 
     def value(word):
@@ -278,10 +255,9 @@ def evaluate(poly, algebra, assignment=None):
         return factor * assignment[sym]
 
     acc = {}
-    zero = ring.zero()
     for word, coeff in poly.terms.items():
         for w, c in value(word).terms:
-            acc[w] = ring.add(acc.get(w, zero), ring.mul(coeff, c))
+            acc[w] = acc.get(w, 0) + coeff * c
     prefixes.clear()  # value() refers to itself: free now, not at next GC
     return algebra._collect(acc)
 

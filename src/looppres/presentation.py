@@ -36,12 +36,12 @@ from .errors import NotACycle, PreconditionViolated
 from .exactlin import ExactMatrix, ZZ, cokernel_invariants
 from .freealg import (
     FreePolynomial,
-    _render_term,
     accumulate,
     add_bracket,
     gptw_symbol,
     koszul_theta,
     ordered_splits,
+    render_sum,
     settle,
     word_sort_key,
 )
@@ -270,20 +270,18 @@ def _solve_rearrangement(ctx, j_set, i, neighbor):
 
 @dataclass(frozen=True)
 class CommutatorTerm:
-    """One [chat(A, u_i), chat(B, u_j)] summand of a relation.
+    """One alive [chat(A, u_i), chat(B, u_j)] summand of a relation.
 
-    ``alive`` is False for the summands that vanish on sight because
-    max(A) is K-adjacent to i (or max(B) to j); the classical m-gon term
-    counts (7+10+4 = 21 for the hexagon) enumerate the alive ones.
+    The summands that vanish on sight, because max(A) is K-adjacent to i
+    (or max(B) to j), are not kept; the classical m-gon term counts
+    (7+10+4 = 21 for the hexagon) enumerate the alive ones.
     """
 
-    j_set: frozenset
     i: int
     j: int
     a_set: frozenset
     b_set: frozenset
     coeff: object
-    alive: bool
 
 
 @dataclass(frozen=True)
@@ -291,7 +289,7 @@ class Relation:
     degree: int
     poly: object  # FreePolynomial in generator symbols
     parts: tuple  # ((j_set, SimplicialCycle), ...)
-    terms: tuple  # CommutatorTerm metadata
+    terms: tuple  # CommutatorTerm metadata of the alive summands
 
     @property
     def j_set(self):
@@ -300,9 +298,7 @@ class Relation:
     def alive_terms_by_edge(self):
         out = {}
         for t in self.terms:
-            if t.alive:
-                key = (t.i, t.j)
-                out[key] = out.get(key, 0) + 1
+            out[t.i, t.j] = out.get((t.i, t.j), 0) + 1
         return out
 
 
@@ -324,8 +320,8 @@ def _normalize_sign(rel):
     else:
         return rel
     return Relation(rel.degree, poly.scale(unit), rel.parts, tuple(
-        CommutatorTerm(t.j_set, t.i, t.j, t.a_set, t.b_set,
-                       ring.mul(unit, t.coeff), t.alive) for t in rel.terms))
+        CommutatorTerm(t.i, t.j, t.a_set, t.b_set, ring.mul(unit, t.coeff))
+        for t in rel.terms))
 
 
 def relation_for_cycle(k, kappa, ring=ZZ, normalize_sign=True):
@@ -349,6 +345,7 @@ def relation_for_cycle(k, kappa, ring=ZZ, normalize_sign=True):
     if not is_cycle(ctx.complex, kappa, ring):
         raise NotACycle("chain has nonzero boundary")
     poly, terms, zero = {}, [], ring.zero()
+    adjacency = ctx.complex.adjacency
     for face, lam in kappa.terms:
         i, j = sorted(face)
         if not ctx.complex.has_face(face):
@@ -359,11 +356,10 @@ def relation_for_cycle(k, kappa, ring=ZZ, normalize_sign=True):
         edge_sum = {}
         for a_set, b_set in ordered_splits(j_set - face, (i, j)):
             odd = (koszul_theta(a_set, b_set) + len(a_set)) % 2
-            alive = (i not in ctx.complex.adjacency[max(a_set)]
-                     and j not in ctx.complex.adjacency[max(b_set)])
-            terms.append(CommutatorTerm(
-                j_set=j_set, i=i, j=j, a_set=a_set, b_set=b_set,
-                coeff=ring.neg(base) if odd else base, alive=alive))
+            if (i not in adjacency[max(a_set)]
+                    and j not in adjacency[max(b_set)]):
+                terms.append(CommutatorTerm(
+                    i, j, a_set, b_set, ring.neg(base) if odd else base))
             add_bracket(edge_sum, rewrite_chat(ctx, a_set | {i}, i),
                         rewrite_chat(ctx, b_set | {j}, j),
                         len(a_set) + 1, len(b_set) + 1, -1 if odd else 1)
@@ -478,15 +474,11 @@ def _merge_relations(k, ring, entries, vec):
             continue
         acc = by_j.setdefault(j_set, {})
         for face, lam in kappa.terms:
-            val = ring.add(acc.get(face, ring.zero()), ring.mul(coeff, lam))
-            if ring.is_zero(val):
-                acc.pop(face, None)
-            else:
-                acc[face] = val
+            acc[face] = acc.get(face, 0) + coeff * lam
     rels = []
     for j_set in sorted(by_j, key=_subset_mask):
         kappa = SimplicialCycle(j=j_set, dimension=1, terms=tuple(sorted(
-            by_j[j_set].items(), key=lambda t: sorted(t[0]))))
+            ring.settle(by_j[j_set]).items(), key=lambda t: sorted(t[0]))))
         rels.append(relation_for_cycle(k, kappa, ring, normalize_sign=False))
     if len(rels) == 1:
         return _normalize_sign(rels[0])
@@ -494,7 +486,7 @@ def _merge_relations(k, ring, entries, vec):
     for rel in rels:
         accumulate(poly, rel.poly)
     return _normalize_sign(Relation(
-        degree=rels[0].degree, poly=FreePolynomial._wrap(ring, poly),
+        degree=rels[0].degree, poly=settle(poly, ring),
         parts=tuple(p for rel in rels for p in rel.parts),
         terms=tuple(t for rel in rels for t in rel.terms)))
 
@@ -620,19 +612,12 @@ def render_relation(k, relation):
     ring = relation.poly.ring
     bits = []
     for t in relation.terms:
-        if not t.alive:
-            continue
         ca, flip_a = _chat_text(ctx, ring, t.a_set | {t.i}, t.i)
         cb, flip_b = _chat_text(ctx, ring, t.b_set | {t.j}, t.j)
-        coeff = ring.neg(t.coeff) if flip_a != flip_b else t.coeff
-        text = _render_term(coeff, "[%s,%s]" % (ca, cb))
-        bits.append("- " + text[1:] if text[0] == "-" else "+ " + text)
-    if not bits:
-        return "0 = 0"
-    text = " ".join(bits)
-    if text.startswith("+ "):
-        text = text[2:]
-    return text + " = 0"
+        bits.append((ring.neg(t.coeff) if flip_a != flip_b else t.coeff,
+                     "[%s,%s]" % (ca, cb)))
+    text = render_sum(bits)
+    return ("- " + text[1:] if text[0] == "-" else text) + " = 0"
 
 
 def presentation_to_dict(presentation):

@@ -335,17 +335,10 @@ def chain_boundary(k, cycle, ring=ZZ):
     """Boundary of a SimplicialCycle as a face -> coefficient map."""
     out = {}
     for face, coeff in cycle.terms:
-        ordered = sorted(face)
-        for pos, v in enumerate(ordered):
-            sign = -1 if pos % 2 else 1
+        for pos, v in enumerate(sorted(face)):
             g = face - {v}
-            val = ring.add(out.get(g, ring.zero()),
-                           ring.mul(coeff, ring.from_int(sign)))
-            if ring.is_zero(val):
-                out.pop(g, None)
-            else:
-                out[g] = val
-    return out
+            out[g] = out.get(g, 0) + (-coeff if pos % 2 else coeff)
+    return ring.settle(out)
 
 
 def is_cycle(k, cycle, ring=ZZ):

@@ -63,14 +63,6 @@ def wedge_sign(i_set, i):
     return -1 if above % 2 else 1
 
 
-def _acc(d, key, val):
-    cur = d.get(key, 0) + val
-    if cur:
-        d[key] = cur
-    else:
-        d.pop(key, None)
-
-
 # ---------------------------------------------------------------------------
 # differentials
 # ---------------------------------------------------------------------------
@@ -87,8 +79,7 @@ def dbar(k, i_set, alpha):
         ws = wedge_sign(i_set, i)
         if ws == 0:
             continue
-        key = (i_set | {i}, alpha_remove(alpha, i))
-        _acc(out, key, lead * ws)
+        out[(i_set | {i}, alpha_remove(alpha, i))] = lead * ws  # one per i
     return out
 
 
@@ -96,8 +87,8 @@ def dbar_element(k, element):
     out = {}
     for (i_set, alpha), coeff in element.items():
         for key, c in dbar(k, i_set, alpha).items():
-            _acc(out, key, coeff * c)
-    return out
+            out[key] = out.get(key, 0) + coeff * c
+    return ZZ.settle(out)
 
 
 def dhat(k, i_set, alpha):
@@ -112,28 +103,24 @@ def dhat(k, i_set, alpha):
                c(A,u_i) (x) u_B (x) chi_{alpha-e_i}.
     """
     check_basis_element(k, i_set, alpha)
-    out = {}
+    out = {}  # every (i, A) gives its own key
     lead = -1 if len(i_set) % 2 else 1
     for i in sorted(alpha_support(alpha)):
         smaller = alpha_remove(alpha, i)
         ws = wedge_sign(i_set, i)
         if ws:
-            _acc(out, (None, i_set | {i}, smaller), lead * ws)
+            out[(None, i_set | {i}, smaller)] = lead * ws
         # partitions I = A + B with max(A) > i (A nonempty in particular)
         for a, b in ordered_splits(i_set, (i, None)):
             sign = (koszul_theta(a, b) + len(a)) % 2
-            key = ((tuple(sorted(a)), i), b, smaller)
-            _acc(out, key, -1 if sign else 1)
+            out[((tuple(sorted(a)), i), b, smaller)] = -1 if sign else 1
     return out
 
 
 def dhat_augmented(k, i_set, alpha):
     """dhat followed by the augmentation killing c(A, u_i) prefactors."""
-    out = {}
-    for (pre, i2, a2), coeff in dhat(k, i_set, alpha).items():
-        if pre is None:
-            _acc(out, (i2, a2), coeff)
-    return out
+    return {(i2, a2): coeff for (pre, i2, a2), coeff
+            in dhat(k, i_set, alpha).items() if pre is None}
 
 
 def dhat_resolution(algebra, element):
@@ -219,10 +206,8 @@ def strand_matrix(k, j_set, n, ring=ZZ):
     mat = ExactMatrix.zeros(len(dst), len(src), ring)
     for col, face in enumerate(src):
         image = dbar(k, j_set - face, alpha_from_face(face))
-        for (i2, a2), coeff in image.items():
-            row = dst_index[frozenset(a2)]
-            mat.data[row][col] = ring.add(mat.data[row][col],
-                                          ring.from_int(coeff))
+        for (i2, a2), coeff in image.items():  # each row once per column
+            mat.data[dst_index[frozenset(a2)]][col] = ring.from_int(coeff)
     return mat
 
 

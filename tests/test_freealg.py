@@ -1,5 +1,6 @@
 import pickle
 import random
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -148,6 +149,18 @@ def test_settle_reduces_mod_p_and_drops_zeros():
     w1, w2 = (atom_u(1),), (atom_u(2),)
     assert settle({w1: 3, w2: -4}, GF(3)).terms == {w2: 2}
     assert settle({w1: 0, w2: -4}).terms == {w2: -4}
+    # the ring's own settle, which settle wraps, on a dict of any keys
+    acc = {"a": 6, "b": -4, "c": 0, "d": 7}
+    assert ZZ.settle(acc) == {"a": 6, "b": -4, "d": 7}
+    assert GF(2).settle(acc) == {"d": 1}  # 6 and -4 are 0 mod 2
+    assert GF(3).settle(acc) == {"b": 2, "d": 1}  # 6 is 0 mod 3
+    for p in (2, 3):
+        values = GF(p).settle({n: n for n in range(-9, 10)}).values()
+        assert values and all(0 < c < p for c in values)
+    half = Fraction(1, 2)
+    got = QQ.settle({"a": half - half, "b": -3 * half, "c": 4 * half})
+    assert got == {"b": Fraction(-3, 2), "c": 2}
+    assert all(type(c) is Fraction for c in got.values())
 
 
 def test_nested_commutator():
@@ -320,8 +333,8 @@ def test_accumulate_matches_repeated_addition():
         for p, c in zip(polys, coeffs):
             accumulate(acc, p, c)
             total = total + p.scale(c)
-        assert acc == total.terms
-        assert 0 not in acc.values()
+            assert settle(acc) == total
+        assert 0 not in settle(acc).terms.values()
 
 
 def test_cancellation_over_f2_stores_no_zero():
@@ -333,13 +346,13 @@ def test_cancellation_over_f2_stores_no_zero():
     acc = {}
     accumulate(acc, p)
     accumulate(acc, p)
-    assert acc == {}
+    assert settle(acc, f2).terms == {}
     accumulate(acc, p, 3)  # 3 = 1 in F_2
-    assert acc == p.terms
+    assert settle(acc, f2) == p
     accumulate(acc, p, 2)  # 2 = 0 in F_2: no change, nothing stored
-    assert acc == p.terms
+    assert settle(acc, f2) == p
     accumulate(acc, p, -1)
-    assert acc == {}
+    assert settle(acc, f2).terms == {}
 
 
 def brute_force_splits(items, bounds):

@@ -1,6 +1,7 @@
 import random
 import time
 from collections import deque
+from fractions import Fraction
 from itertools import product
 from math import comb
 
@@ -276,6 +277,40 @@ def test_evaluate_matches_naive_evaluation(ring):
     with pytest.raises(UnboundSymbol):
         evaluate(FreePolynomial.monomial((atom_u(1), unbound), 1, ring), alg,
                  assignment)
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(2), GF(3), GF(5)], ids=repr)
+def test_sums_keep_ring_elements(ring):
+    """+, * and evaluate sum with plain + and * and settle once: over Q the
+    coefficients stay Fractions, over F_p they are residues in [1, p)."""
+    alg = PCAlgebra(cycle_complex(5), ring)
+    rng = random.Random(17)
+    coeffs = [1, -1, 2, -3, 4] + ([Fraction(-1, 2)] if ring == QQ else [])
+
+    def settled(x):
+        if ring == QQ:
+            return all(type(c) is Fraction and c for _, c in x.terms)
+        return all(type(c) is int and 0 < c < ring.p for _, c in x.terms)
+
+    def random_element():
+        return alg.element({
+            tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 3))):
+            rng.choice(coeffs) for _ in range(6)})
+
+    u = [FreePolynomial.generator(atom_u(v), ring) for v in range(1, 6)]
+    for _ in range(30):
+        x, y = random_element(), random_element()
+        for z in (x + y, x - y, x * y, y * x, x * y - y * x):
+            assert settled(z)
+        assert (x + x.scale(-1)).is_zero()
+        poly = (u[0] * u[2]).scale(rng.choice(coeffs[:5])) + \
+            (u[2] * u[0]).scale(rng.choice(coeffs[:5])) + u[1].scale(-3)
+        assert settled(evaluate(poly, alg))
+    if ring.p:  # p copies of x sum to 0 in F_p
+        total = x
+        for _ in range(ring.p - 1):
+            total = total + x
+        assert total.is_zero()
 
 
 def test_algebra_mismatch():

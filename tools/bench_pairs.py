@@ -36,7 +36,7 @@ import hashlib, json, resource, time
 from corpus import rp2_flag12
 from looppres import cli
 from looppres.exactlin import ZZ
-from looppres.presentation import build_presentation, presentation_to_dict
+from looppres.presentation import build_presentation
 
 def rss_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
@@ -53,10 +53,7 @@ start = time.process_time()
 pres = build_presentation(k, ZZ, "multi")
 built, rss_built = time.process_time(), rss_mb()
 sink = Sink()
-if hasattr(cli, "write_presentation_json"):  # streamed, relation by relation
-    cli.write_presentation_json(pres, sink)
-else:  # the whole document first
-    cli.write_json(presentation_to_dict(pres), sink)
+cli.write_presentation_json(pres, sink)
 print(json.dumps({"build_cpu_s": round(built - start, 2),
                   "emit_cpu_s": round(time.process_time() - built, 2),
                   "rss_after_build_mb": round(rss_built),
