@@ -24,7 +24,8 @@ of K-adjacent neighbours, so f_O = (-1)^inv(w) [w] depends on O alone
 disjoint supports f_O1 f_O2 = s(A,B) f_(O1|O2|X(A,B)): X(A,B) orients each
 non-edge {a<b}, a in A, b in B, from a to b, and s(A,B) is
 (-1)^#{a in A, b in B : a > b}.  ``SquarefreeModel`` multiplies with one OR
-and one sign per pair of terms; ``verify_presentation`` works in it.
+and one sign per pair of terms; ``verify_presentation`` and the bar
+cycles' check (``torbar.verify_bar_cycle``) work in it.
 
 Graded dimensions count the paths of the automaton of normal words, whose
 state is the set of letters that may still be appended to the word.
@@ -258,7 +259,7 @@ def evaluate(poly, algebra, assignment=None):
     for word, coeff in poly.terms.items():
         for w, c in value(word).terms:
             acc[w] = acc.get(w, 0) + coeff * c
-    prefixes.clear()  # value() refers to itself: free now, not at next GC
+    value = None  # value() refers to itself: free it now, not at next GC
     return algebra._collect(acc)
 
 
@@ -305,6 +306,7 @@ class SquarefreeModel:
             if b not in adj[a])}
         self._cross = {}  # (A, B) -> (X(A, B), s(A, B))
         self._cvalues = {}
+        self._images = {}  # PCElement -> from_element
 
     def generator(self, i):
         return {1 << i: {0: self.algebra.ring.one()}}
@@ -346,20 +348,28 @@ class SquarefreeModel:
                     out[a | b] = t
         return out
 
+    def word(self, word):
+        """(support, orientation, sign) of a word that repeats no letter:
+        [w] = sign * f_O for the orientation O that w induces."""
+        pairs = [(a, b) for n, a in enumerate(word) for b in word[n + 1:]]
+        return (sum(1 << v for v in word),
+                sum(self._bit.get(pair, 0) for pair in pairs),  # distinct bits
+                -1 if sum(a > b for a, b in pairs) % 2 else 1)
+
     def from_element(self, element):
-        """The image of a PCElement whose words repeat no letter:
-        [w] = (-1)^inv(w) f_O for the orientation O that w induces."""
+        """The image of a PCElement whose words repeat no letter, memoized:
+        the sum of c * sign * f_O over its terms c * [w] (see ``word``)."""
+        if element in self._images:  # a hit has an equal algebra
+            return self._images[element]
         if element.algebra != self.algebra:
             raise AlgebraMismatch("element of another algebra")
         out = {}
         for word, c in element.terms:
             if len(set(word)) != len(word):
                 raise PreconditionViolated("%r repeats a letter" % (word,))
-            pairs = [(a, b) for n, a in enumerate(word) for b in word[n + 1:]]
-            self.accumulate(out, {sum(1 << v for v in word): {
-                sum(self._bit.get(pair, 0) for pair in pairs): c}},
-                -1 if sum(a > b for a, b in pairs) % 2 else 1)
-        return out
+            support, o, sign = self.word(word)
+            self.accumulate(out, {support: {o: c}}, sign)
+        return self._images.setdefault(element, out)
 
     def commutator(self, prefix, i):
         """c(prefix, u_i), by the recursion of ``commutator_value``."""
@@ -406,7 +416,7 @@ class SquarefreeModel:
                 row = acc.setdefault(support, {})
                 for o, c in terms.items():
                     row[o] = row.get(o, 0) + coeff * c
-        prefixes.clear()  # value() refers to itself: free now, not at next GC
+        value = None  # value() refers to itself: free it now, not at next GC
         out = {}
         self.accumulate(out, acc)  # reduced, zeros dropped
         return out, FreePolynomial._wrap(poly.ring, rest)

@@ -30,6 +30,7 @@ into the ring once.
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import NotACycle, PreconditionViolated
@@ -515,7 +516,8 @@ def verify_presentation(k, presentation):
     (1) generator values are the nested commutators they claim to be;
     (2) every rewrite_chat(J, i), |J| >= 2, evaluates to c(J\\i, u_i);
     (3) every relation polynomial evaluates to zero;
-    (4) generator and relation counts match the homology certificate.
+    (4) generator counts per J match the rank of H-tilde_0(K_J) by
+        elimination, relation counts the homology certificate.
     (2) and (3) run in the squarefree model, each symbol bound to the image
     of its generator value; words leaving it must vanish in k[K]^! apart.
     Failures are reported, never raised.
@@ -561,15 +563,13 @@ def verify_presentation(k, presentation):
                                               len(presentation.relations))))
 
     cert = presentation.counts_certificate
-    by_j = {}
-    for g in presentation.generators:
-        by_j[g.j_set] = by_j.get(g.j_set, 0) + 1
-    gen_ok = by_j == cert.b0_by_j and \
+    # H-tilde_0 by elimination: generators and certificate read components
+    h0 = {j: inv.rank for j in all_subsets(ctx.complex.m)[1:]
+          if (inv := ctx.faces.homology_invariants(j, ring, (1, 2))[0]).rank}
+    gen_ok = Counter(g.j_set for g in presentation.generators) == h0 and \
         len(presentation.generators) == cert.total_generators()
-    rel_by_degree = {}
-    for rel in presentation.relations:
-        rel_by_degree[rel.degree] = rel_by_degree.get(rel.degree, 0) + 1
-    rel_ok = rel_by_degree == cert.rel_count_by_degree
+    rel_ok = Counter(rel.degree for rel in presentation.relations) == \
+        cert.rel_count_by_degree
     checks.append(("counts vs certificate", gen_ok and rel_ok,
                    "generators %d, relations %d"
                    % (len(presentation.generators),

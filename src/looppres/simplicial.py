@@ -421,12 +421,16 @@ class FaceIndex:
         for v, adj in k.adjacency.items():
             self.neighbors[v] = _mask(adj)
 
+    def mask(self, j):
+        """J as a bitmask; VertexOutOfRange unless J lies in [m]."""
+        return _vertex_mask(self.m, j)
+
     def columns(self, j, n):
         """d from faces of size n to size n-1 in K_J: {position: {row
         position: +-1}}, the augmented ``boundary_matrix`` by columns."""
         if n >= len(self.masks):
             return {}
-        out = ~_vertex_mask(self.m, j)
+        out = ~self.mask(j)
         bd = self.boundary[n]
         return {t: dict(bd[t]) for t, f in enumerate(self.masks[n])
                 if not f & out}
@@ -439,7 +443,7 @@ class FaceIndex:
 
     def components(self, j):
         """``path_components`` of K_J, as bitmasks."""
-        return _components(self.neighbors, _vertex_mask(self.m, j))
+        return _components(self.neighbors, self.mask(j))
 
     def betti0(self, j):
         """``reduced_betti0`` of K_J."""

@@ -7,26 +7,28 @@ tuple of vertices with multiplicity.  Two differentials act here:
 * ``dbar`` on Lambda[m] (x) k<K> computes Tor over the loop homology of the
   moment-angle complex; its multidegree-(n, -|J|, 2J) strand is spanned by
   u_{J \\ L} (x) chi_L over faces L of K_J, and its homology matches the
-  reduced simplicial homology of K_J shifted by one (``verify`` compares
-  the two by universal coefficients on integer Smith invariants).
+  reduced simplicial homology of K_J shifted by one.  ``strand_columns``
+  writes the strand as sparse columns on face bitmasks, signs by popcount,
+  and ``verify`` compares the two by universal coefficients.
 * ``dhat`` is the resolution differential upstairs; its extra terms carry
   nested-commutator prefactors c(A, u_i) that land in the loop homology
   subalgebra of k[K]^!.
 
 ``bar_cycle`` builds, from a simplicial cycle in K_J, the explicit cycle in
 the reduced bar construction whose letters are evaluated nested commutators;
-``verify_bar_cycle`` applies the bar differential with products taken in
-k[K]^! and checks the result vanishes.
+``verify_bar_cycle`` applies the bar differential in the squarefree model of
+k[K]^! (adjacent letters have disjoint supports) and checks the result
+vanishes.
 """
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 from .errors import FaceOutsideJ, NotACycle
-from .exactlin import (ExactMatrix, ZZ, chain_homology_invariants,
+from .exactlin import (ExactMatrix, ZZ, column_homology_invariants,
                        homology_with_representatives)
 from .freealg import koszul_theta, ordered_splits
-from .pcalg import commutator_value
-from .simplicial import faces_within, is_cycle
+from .pcalg import SquarefreeModel, commutator_value
+from .simplicial import FaceIndex, is_cycle
 
 # ---------------------------------------------------------------------------
 # basis bookkeeping
@@ -37,10 +39,6 @@ def alpha_from_face(face):
     return tuple(sorted(face))
 
 
-def alpha_support(alpha):
-    return frozenset(alpha)
-
-
 def alpha_remove(alpha, i):
     out = list(alpha)
     out.remove(i)
@@ -48,9 +46,9 @@ def alpha_remove(alpha, i):
 
 
 def check_basis_element(k, i_set, alpha):
-    if not k.has_face(alpha_support(alpha)):
+    if not k.has_face(frozenset(alpha)):
         raise ValueError("supp(alpha)=%s is not a face"
-                         % sorted(alpha_support(alpha)))
+                         % sorted(set(alpha)))
     if not all(1 <= v <= k.m for v in i_set):
         raise ValueError("I=%s outside [1..%d]" % (sorted(i_set), k.m))
 
@@ -75,7 +73,7 @@ def dbar(k, i_set, alpha):
     check_basis_element(k, i_set, alpha)
     lead = -1 if len(i_set) % 2 else 1
     out = {}
-    for i in sorted(alpha_support(alpha)):
+    for i in sorted(set(alpha)):
         ws = wedge_sign(i_set, i)
         if ws == 0:
             continue
@@ -105,7 +103,7 @@ def dhat(k, i_set, alpha):
     check_basis_element(k, i_set, alpha)
     out = {}  # every (i, A) gives its own key
     lead = -1 if len(i_set) % 2 else 1
-    for i in sorted(alpha_support(alpha)):
+    for i in sorted(set(alpha)):
         smaller = alpha_remove(alpha, i)
         ws = wedge_sign(i_set, i)
         if ws:
@@ -144,13 +142,8 @@ def dhat_resolution(algebra, element):
                 continue
             term = value.scale(koszul * coeff)
             key = (i2, a2)
-            cur = out.get(key)
-            cur = term if cur is None else cur + term
-            if cur.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = cur
-    return out
+            out[key] = out[key] + term if key in out else term
+    return {key: v for key, v in out.items() if not v.is_zero()}
 
 
 # ---------------------------------------------------------------------------
@@ -179,54 +172,71 @@ def g_map(k, j_set, terms):
         if not k.has_face(face):
             raise FaceOutsideJ("%s is not a face of K" % sorted(face))
         key = (j_set - face, alpha_from_face(face))
-        sign = epsilon_sign(face, j_set)
-        cur = out.get(key, 0) + (coeff if sign == 1 else -coeff)
-        if cur:
-            out[key] = cur
-        else:
-            out.pop(key, None)
-    return out
+        out[key] = out.get(key, 0) + epsilon_sign(face, j_set) * coeff
+    return ZZ.settle(out)
 
 
 # ---------------------------------------------------------------------------
 # strand homology (the Tor cross-check)
 # ---------------------------------------------------------------------------
 
-def strand_basis(k, j_set, n):
-    """Faces L of K_J with |L| = n, indexing u_{J\\L} (x) chi_L."""
-    return faces_within(k, j_set, n)
+def strand_columns(faces, j_set, n):
+    """dbar from strand degree n to n-1 in multidegree 2J, by columns.
+
+    ``faces`` is the complex's FaceIndex.  The basis u_{J\\L} (x) chi_L is
+    keyed by the mask of L (bit v-1 for vertex v) over the faces L of K_J
+    with |L| = n, and column L is {L - i: (-1)^{|J\\L|} (-1)^{#{v in J\\L :
+    v > i}}} for i in L: ``dbar``'s Koszul sign, read off popcounts.
+    """
+    if not 0 <= n < len(faces.masks):
+        return {}
+    jmask = faces.mask(j_set)
+    out = {}
+    for face in faces.masks[n]:
+        if face & ~jmask:
+            continue
+        rest = jmask ^ face
+        col = out[face] = {}
+        bits = face
+        while bits:
+            low = bits & -bits  # vertex i; -(low << 1) masks the v > i
+            bits ^= low
+            odd = (rest.bit_count() + (rest & -(low << 1)).bit_count()) & 1
+            col[face ^ low] = -1 if odd else 1
+    return out
 
 
-def strand_matrix(k, j_set, n, ring=ZZ):
-    """Matrix of dbar from strand degree n to n-1 in multidegree 2J."""
-    j_set = frozenset(j_set)
-    src = strand_basis(k, j_set, n)
-    dst = strand_basis(k, j_set, n - 1)
-    dst_index = {f: i for i, f in enumerate(dst)}
-    mat = ExactMatrix.zeros(len(dst), len(src), ring)
-    for col, face in enumerate(src):
-        image = dbar(k, j_set - face, alpha_from_face(face))
-        for (i2, a2), coeff in image.items():  # each row once per column
-            mat.data[dst_index[frozenset(a2)]][col] = ring.from_int(coeff)
+def _dense(columns, rows, ring):
+    """Strand columns over ``ring``, rows in the order of ``rows``' keys."""
+    place = {r: t for t, r in enumerate(rows)}
+    mat = ExactMatrix.zeros(len(rows), len(columns), ring)
+    for col, image in enumerate(columns.values()):
+        for r, x in image.items():
+            mat.data[place[r]][col] = ring.from_int(x)
     return mat
 
 
 def koszul_homology(k, j_set, ring=ZZ, degree=1):
-    """Homology of the (degree, -|J|, 2J) strand of (Lambda[m] (x) k<K>, dbar).
+    """Homology of the (degree, -|J|, 2J) strand of (Lambda[m] (x) k<K>, dbar)
+    with lifted cycles.
 
     Must agree with the reduced homology of K_J one dimension down; ``verify``
     reads rank and torsion by universal coefficients (``koszul_invariants``).
     """
-    d1 = strand_matrix(k, j_set, degree, ring)
-    d2 = strand_matrix(k, j_set, degree + 1, ring)
-    return homology_with_representatives(d1, d2, ring)
+    faces = FaceIndex(k)
+    low, mid, high = (strand_columns(faces, j_set, n)
+                      for n in (degree - 1, degree, degree + 1))
+    return homology_with_representatives(
+        _dense(mid, low, ring), _dense(high, mid, ring), ring)
 
 
-def koszul_invariants(k, j_set, ring=ZZ):
-    """``koszul_homology`` in degrees 0..|J|+1 without cycles: the strand is
-    built once over Z and read by ``chain_homology_invariants``."""
-    return chain_homology_invariants(
-        [strand_matrix(k, j_set, n) for n in range(len(j_set) + 3)], ring)
+def koszul_invariants(faces, j_set, ring=ZZ):
+    """``koszul_homology`` in degrees 0..|J|+1 without cycles, from the
+    complex's FaceIndex: the strand's integer columns, read by
+    ``column_homology_invariants``."""
+    return column_homology_invariants(
+        [strand_columns(faces, j_set, n) for n in range(len(j_set) + 3)],
+        ring)
 
 
 # ---------------------------------------------------------------------------
@@ -241,12 +251,8 @@ class BarElement:
     def __init__(self, algebra, terms=None):
         self.algebra = algebra
         self.terms = {}
-        if terms:
-            ring = algebra.ring
-            for tensor, coeff in terms.items():
-                if not ring.is_zero(coeff) and not any(
-                        a.is_zero() for a in tensor):
-                    self.terms[tensor] = coeff
+        for tensor, coeff in (terms or {}).items():
+            self.add_term(tensor, coeff)
 
     def add_term(self, tensor, coeff):
         ring = self.algebra.ring
@@ -257,9 +263,6 @@ class BarElement:
             self.terms.pop(tensor, None)
         else:
             self.terms[tensor] = cur
-
-    def is_zero(self):
-        return not self.terms
 
     def __eq__(self, other):
         return (isinstance(other, BarElement)
@@ -288,109 +291,92 @@ def bar_cycle(algebra, kappa):
         epsilon(I,J) lambda_I (-1)^{sum_{t1<t2} theta(J_{t1}, J_{t2})}
         [c(J_1,u_{i_1}) | ... | c(J_n,u_{i_n})].
     """
-    k = algebra.complex
     ring = algebra.ring
-    if not is_cycle(k, kappa, ring):
+    if not is_cycle(algebra.complex, kappa, ring):
         raise NotACycle("chain has nonzero boundary")
     j_set = frozenset(kappa.j)
     out = BarElement(algebra)
     for face, lam in kappa.terms:
-        n = len(face)
-        rest = j_set - face
-        eps = epsilon_sign(face, j_set)
-        base = lam if eps == 1 else ring.neg(lam)
+        base = lam if epsilon_sign(face, j_set) == 1 else ring.neg(lam)
         for order in permutations(sorted(face)):
-            for blocks in ordered_splits(rest, order):
-                theta_total = sum(
-                    koszul_theta(blocks[t1], blocks[t2])
-                    for t1 in range(n) for t2 in range(t1 + 1, n))
-                letters = tuple(
-                    commutator_value(algebra, b, i)
-                    for b, i in zip(blocks, order))
-                coeff = base if theta_total % 2 == 0 else ring.neg(base)
-                out.add_term(letters, coeff)
+            for blocks in ordered_splits(j_set - face, order):
+                theta_total = sum(koszul_theta(a, b)
+                                  for a, b in combinations(blocks, 2))
+                letters = tuple(commutator_value(algebra, b, i)
+                                for b, i in zip(blocks, order))
+                out.add_term(letters, base if theta_total % 2 == 0
+                             else ring.neg(base))
     return out
 
 
-def bar_cycle_pairform(algebra, kappa):
-    """The bar-degree-2 cycle in its two-orders form (the n = 2 special case).
+def bar_differential(element, model):
+    """d of the reduced bar construction, products taken in k[K]^!:
 
-    For kappa = sum lambda_{ij} [{i,j}]:
-        sum_{i<j} (-1)^{|J_<i|+|J_<j|} lambda_{ij}
-        sum_{J\\ij = A+B, max(A)>i, max(B)>j}
-        (-1)^{theta(A,B)} [c(A,u_i)|c(B,u_j)]
-        + (-1)^{theta(B,A)} [c(B,u_j)|c(A,u_i)].
-    Used to confirm termwise agreement with the general formula.
+        d([a_1|...|a_n]) = sum_{i=1}^{n-1}
+            [a_1-bar|...|a_{i-1}-bar| a_i-bar * a_{i+1} |a_{i+2}|...|a_n],
+
+    as (letters, coefficient) pairs for ``bar_canonical``.  Letters go to the
+    squarefree model by its memoized ``from_element`` (their words must
+    repeat no vertex, as in every ``bar_cycle``) and multiply there; a
+    product whose supports meet, as in [u1|u1], is taken on normal forms.
     """
-    k = algebra.complex
-    ring = algebra.ring
-    if not is_cycle(k, kappa, ring):
-        raise NotACycle("chain has nonzero boundary")
-    j_set = frozenset(kappa.j)
-    out = BarElement(algebra)
-    for face, lam in kappa.terms:
-        i, j = sorted(face)
-        eps = epsilon_sign(face, j_set)
-        base = lam if eps == 1 else ring.neg(lam)
-        for a, b in ordered_splits(j_set - face, (i, j)):
-            ca = commutator_value(algebra, a, i)
-            cb = commutator_value(algebra, b, j)
-            c1 = base if koszul_theta(a, b) % 2 == 0 else ring.neg(base)
-            c2 = base if koszul_theta(b, a) % 2 == 0 else ring.neg(base)
-            out.add_term((ca, cb), c1)
-            out.add_term((cb, ca), c2)
-    return out
-
-
-def bar_differential(element):
-    """d of the reduced bar construction, products taken in k[K]^!.
-
-    d([a_1|...|a_n]) = sum_{i=1}^{n-1}
-        [a_1-bar|...|a_{i-1}-bar| a_i-bar * a_{i+1} |a_{i+2}|...|a_n].
-    """
-    algebra = element.algebra
-    out = BarElement(algebra)
+    out = []
     for tensor, coeff in element.terms.items():
-        n = len(tensor)
-        for i in range(n - 1):
-            merged = tensor[i].overline() * tensor[i + 1]
-            if merged.is_zero():
-                continue
-            new_tensor = tuple(
-                tensor[t].overline() for t in range(i)) + (merged,) + \
-                tensor[i + 2:]
-            out.add_term(new_tensor, coeff)
+        if len(tensor) < 2:
+            continue  # d[a] = 0
+        xs, bars = [model.from_element(a) for a in tensor], []
+        for i in range(len(xs) - 1):  # a-bar = (-1)^(1+|support|) a
+            bars.append({s: t if s.bit_count() % 2 else {
+                o: -c for o, c in t.items()} for s, t in xs[i].items()})
+            merged = model.mul(bars[i], xs[i + 1])
+            if merged is None:
+                merged = tensor[i].overline() * tensor[i + 1]
+            out.append((tuple(bars[:i]) + (merged,) + tuple(xs[i + 2:]),
+                        coeff))
     return out
 
 
-def bar_canonical(element):
-    """Canonical form in the word-tensor basis of I(k[K]^!)^{(x) n}.
+def _basis(x, model):
+    """(key, coefficient) pairs of a letter in a basis of k[K]^!: a model
+    element's (support, orientation) pairs; a PCElement's normal words, those
+    that repeat no vertex taken to the model's pairs (one that repeats a
+    vertex has at least three letters, so is never a pair)."""
+    if isinstance(x, dict):
+        return [((s, o), c) for s, t in x.items() for o, c in t.items()]
+    out = []
+    for w, c in x.terms:
+        if len(set(w)) < len(w):
+            out.append((w, c))
+        else:
+            support, o, sign = model.word(w)
+            out.append(((support, o), sign * c))
+    return out
+
+
+def bar_canonical(terms, model):
+    """Canonical form in I(k[K]^!)^{(x) n} of the sum of c [x_1|...|x_n]
+    over the (letters, c) of ``terms``, as {(key_1, ..., key_n): coeff}.
 
     The tensor product is multilinear, so a formal combination of letter
     tuples is not a normal form: [z1] + [z2] vanishes whenever z1 + z2 = 0
-    as algebra elements even though the tuples differ.  Expanding every
-    letter into its normal words gives an honest basis representation:
-    {(word_1, ..., word_n): coefficient}.
+    as algebra elements even though the tuples differ.  So every letter is
+    expanded in a basis (``_basis``), summed with plain + and *, settled
+    once.
     """
-    ring = element.algebra.ring
     out = {}
-    for tensor, coeff in element.terms.items():
+    for letters, coeff in terms:
         partial = [((), coeff)]
-        for letter in tensor:
-            nxt = []
-            for words, c in partial:
-                for w, cw in letter.terms:
-                    nxt.append((words + (w,), ring.mul(c, cw)))
-            partial = nxt
-        for words, c in partial:
-            cur = ring.add(out.get(words, ring.zero()), c)
-            if ring.is_zero(cur):
-                out.pop(words, None)
-            else:
-                out[words] = cur
-    return out
+        for x in letters:
+            partial = [(keys + (key,), c * cx) for keys, c in partial
+                       for key, cx in _basis(x, model)]
+        for keys, c in partial:
+            out[keys] = out.get(keys, 0) + c
+    return model.algebra.ring.settle(out)
 
 
-def verify_bar_cycle(element):
-    """True iff the bar differential of the element vanishes in k[K]^!."""
-    return not bar_canonical(bar_differential(element))
+def verify_bar_cycle(element, model=None):
+    """True iff the bar differential of the element vanishes in k[K]^!;
+    ``model`` is the squarefree model of its algebra (a new one if None)."""
+    if model is None:
+        model = SquarefreeModel(element.algebra)
+    return not bar_canonical(bar_differential(element, model), model)

@@ -364,14 +364,16 @@ def verify_json(tmp_path, capsys, k, ring):
 
 
 def test_verify_tor_row_fails_on_broken_dbar(monkeypatch, tmp_path, capsys):
-    real = torbar.dbar
+    # the strand kernel writes dbar's columns; each loses its first term
+    real = torbar.strand_columns
 
-    def dbar_dropping_a_term(k, i_set, alpha):
-        out = real(k, i_set, alpha)
-        if len(out) > 1:
-            del out[next(iter(out))]
+    def strand_dropping_a_term(faces, j_set, n):
+        out = real(faces, j_set, n)
+        for col in out.values():
+            if len(col) > 1:
+                del col[next(iter(col))]
         return out
-    monkeypatch.setattr(torbar, "dbar", dbar_dropping_a_term)
+    monkeypatch.setattr(torbar, "strand_columns", strand_dropping_a_term)
     code, _, checks = verify_json(tmp_path, capsys, cycle_complex(5), "Z")
     assert code == 1
     assert not checks["Tor strand cross-check"]["ok"]

@@ -38,6 +38,7 @@ from looppres.presentation import (
     verify_presentation,
 )
 from looppres.simplicial import (
+    FaceIndex,
     SimplicialCycle,
     all_subsets,
     boundary_matrix,
@@ -362,6 +363,27 @@ def test_verify_catches_corruption():
     assert not report.ok
     assert any(name == "relations vanish" and not ok
                for name, ok, _ in report.checks)
+
+
+def test_verify_counts_generators_by_elimination(monkeypatch):
+    # a component search that merges two components of some K_J loses a
+    # generator; the certificate's b0 reads the same search, so only the
+    # rank of H-tilde_0(K_J) by elimination can tell
+    k = gnp_flag(6, 1)
+    real = FaceIndex.components
+
+    def merging(self, j):
+        comps = real(self, j)
+        return [comps[0] | comps[1]] + comps[2:] if len(comps) > 2 else comps
+    with monkeypatch.context() as patch:
+        patch.setattr(FaceIndex, "components", merging)
+        pres = build_presentation(k, ZZ)
+    honest = build_presentation(k, ZZ)
+    assert len(pres.generators) == len(honest.generators) - 1
+    checks = {name: ok for name, ok, _ in verify_presentation(k, pres).checks}
+    assert not checks["counts vs certificate"]
+    assert all(ok for name, ok in checks.items()
+               if name != "counts vs certificate")
 
 
 def test_is_free_loop_algebra():

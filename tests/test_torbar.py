@@ -2,15 +2,22 @@ import random
 
 import pytest
 
+from corpus import gnp_flag
 from looppres.errors import ChainConditionViolated, FaceOutsideJ, NotACycle
-from looppres.exactlin import GF, QQ, ZZ, ExactMatrix
-from looppres.pcalg import PCAlgebra, commutator_value
+from looppres.exactlin import GF, QQ, ZZ
+from looppres.freealg import koszul_theta, ordered_splits
+from looppres.pcalg import PCAlgebra, PCElement, SquarefreeModel, \
+    commutator_value
+from looppres.presentation import Context
 from looppres.simplicial import (
+    FaceIndex,
     SimplicialCycle,
     all_subsets,
     clique_complex,
     cycle_complex,
     disjoint_points,
+    faces_within,
+    is_cycle,
     octahedron,
     path_complex,
     reduced_homology,
@@ -19,18 +26,19 @@ from looppres.simplicial import (
 )
 from looppres.torbar import (
     BarElement,
+    alpha_from_face,
     bar_cycle,
-    bar_cycle_pairform,
     bar_differential,
     dbar,
     dbar_element,
     dhat,
     dhat_augmented,
     dhat_resolution,
+    epsilon_sign,
     g_map,
     koszul_homology,
     koszul_invariants,
-    strand_basis,
+    strand_columns,
     verify_bar_cycle,
 )
 
@@ -174,11 +182,13 @@ def test_koszul_invariants_match_koszul_homology():
     complexes = [rp2_minimal()] + [random_flag(rng, max_m=7)
                                    for _ in range(10)]
     top = frozenset(range(1, 7))
-    assert koszul_invariants(complexes[0], top, ZZ)[2].torsion == [2]
+    rp2 = FaceIndex(complexes[0])
+    assert koszul_invariants(rp2, top, ZZ)[2].torsion == [2]
     for k in complexes:
+        faces = FaceIndex(k)
         for j_set in all_subsets(k.m):
             for ring in (ZZ, QQ, GF(2), GF(3)):
-                fast = koszul_invariants(k, j_set, ring)
+                fast = koszul_invariants(faces, j_set, ring)
                 assert len(fast) == len(j_set) + 2
                 for n, b in enumerate(fast):
                     a = koszul_homology(k, j_set, ring, degree=n)
@@ -189,16 +199,41 @@ def test_koszul_invariants_match_koszul_homology():
 def test_koszul_invariants_chain_condition_enforced(monkeypatch):
     import looppres.torbar as torbar
 
-    def bad_strand(k, j_set, n, ring=ZZ):
-        return ExactMatrix.from_rows([[1]], ZZ)
-    monkeypatch.setattr(torbar, "strand_matrix", bad_strand)
+    def bad_strand(faces, j_set, n):
+        return {0: {0: 1}}
+    monkeypatch.setattr(torbar, "strand_columns", bad_strand)
     with pytest.raises(ChainConditionViolated):
-        koszul_invariants(PENTAGON, {1, 2}, ZZ)
+        koszul_invariants(FaceIndex(PENTAGON), {1, 2}, ZZ)
 
 
 def test_strand_basis_is_squarefree_faces():
-    assert strand_basis(PENTAGON, {1, 2, 3}, 2) == [
-        frozenset({1, 2}), frozenset({2, 3})]
+    assert list(strand_columns(FaceIndex(PENTAGON), {1, 2, 3}, 2)) == [
+        0b011, 0b110]  # the faces {1, 2} and {2, 3}
+
+
+def face_mask(face):
+    return sum(1 << (v - 1) for v in face)
+
+
+def test_strand_columns_are_dbar():
+    # every column of the popcount kernel is dbar(u_{J-L} (x) chi_L), rows
+    # mapped to masks, in faces_within order; rp2_minimal() has torsion
+    rng = random.Random(43)
+    complexes = [rp2_minimal(), PENTAGON, octahedron()] + [
+        random_flag(rng, max_m=7) for _ in range(10)]
+    for k in complexes:
+        faces = FaceIndex(k)
+        for j_set in all_subsets(k.m):
+            for n in range(len(j_set) + 3):
+                want = {}
+                for face in faces_within(k, j_set, n):
+                    image = dbar(k, j_set - face, alpha_from_face(face))
+                    assert all(i2 | set(a2) == j_set for i2, a2 in image)
+                    want[face_mask(face)] = {
+                        face_mask(a2): c for (_, a2), c in image.items()}
+                got = strand_columns(faces, j_set, n)
+                assert list(got.items()) == list(want.items()), \
+                    (k, sorted(j_set), n)
 
 
 def test_bar_cycle_n1_two_points():
@@ -237,6 +272,36 @@ def test_bar_cycle_n2_pentagon_has_five_partitions():
     assert verify_bar_cycle(cyc)
 
 
+def bar_cycle_pairform(algebra, kappa):
+    """The bar-degree-2 cycle in its two-orders form (the n = 2 special case).
+
+    For kappa = sum lambda_{ij} [{i,j}]:
+        sum_{i<j} (-1)^{|J_<i|+|J_<j|} lambda_{ij}
+        sum_{J\\ij = A+B, max(A)>i, max(B)>j}
+        (-1)^{theta(A,B)} [c(A,u_i)|c(B,u_j)]
+        + (-1)^{theta(B,A)} [c(B,u_j)|c(A,u_i)].
+    Used to confirm termwise agreement with the general formula.
+    """
+    k = algebra.complex
+    ring = algebra.ring
+    if not is_cycle(k, kappa, ring):
+        raise NotACycle("chain has nonzero boundary")
+    j_set = frozenset(kappa.j)
+    out = BarElement(algebra)
+    for face, lam in kappa.terms:
+        i, j = sorted(face)
+        eps = epsilon_sign(face, j_set)
+        base = lam if eps == 1 else ring.neg(lam)
+        for a, b in ordered_splits(j_set - face, (i, j)):
+            ca = commutator_value(algebra, a, i)
+            cb = commutator_value(algebra, b, j)
+            c1 = base if koszul_theta(a, b) % 2 == 0 else ring.neg(base)
+            c2 = base if koszul_theta(b, a) % 2 == 0 else ring.neg(base)
+            out.add_term((ca, cb), c1)
+            out.add_term((cb, ca), c2)
+    return out
+
+
 def test_bar_cycle_matches_pairform_termwise():
     rng = random.Random(14)
     complexes = [SQUARE, PENTAGON, cycle_complex(6),
@@ -272,8 +337,9 @@ def test_bar_differential_examples():
     assert not verify_bar_cycle(elem)
     # [u1|u2] with {1,2} an edge: u1bar*u2 = u1u2, still nonzero in k[K]^!
     elem = BarElement(alg, {(u1, u2): 1})
-    d = bar_differential(elem)
-    assert d.terms == {(u1 * u2,): 1}
+    model = SquarefreeModel(alg)
+    d = bar_differential(elem, model)
+    assert d == [((model.from_element(u1 * u2),), 1)]
 
 
 def test_bar_cycles_closed_all_generating_cycles_m5():
@@ -290,3 +356,72 @@ def test_bar_cycles_closed_all_generating_cycles_m5():
                 for kappa in cycles:
                     assert verify_bar_cycle(bar_cycle(alg, kappa)), \
                         (k, sorted(j_set), n)
+
+
+def normal_form_closed(cyc):
+    """The bar differential of ``cyc`` vanishes, with every product and
+    every letter's expansion taken on normal words."""
+    out = {}
+    for tensor, coeff in cyc.terms.items():
+        for i in range(len(tensor) - 1):
+            letters = [a.overline() for a in tensor[:i]] + [
+                tensor[i].overline() * tensor[i + 1]] + list(tensor[i + 2:])
+            partial = [((), coeff)]
+            for a in letters:
+                partial = [(ws + (w,), c * cw) for ws, c in partial
+                           for w, cw in a.terms]
+            for ws, c in partial:
+                out[ws] = out.get(ws, 0) + c
+    return not cyc.algebra.ring.settle(out)
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(2), GF(3), QQ], ids=str)
+def test_bar_cycle_model_check_agrees_with_normal_forms(ring):
+    # every generating cycle of H-tilde_0, H-tilde_1 and H-tilde_2 of every
+    # K_J closes in the squarefree model and on normal forms; a cycle of bar
+    # degree >= 2 opens in both once one tensor is dropped or, but over F2
+    # where -1 = 1, has its sign flipped
+    complexes = [PENTAGON, octahedron()] + [gnp_flag(7, g, p=0.4)
+                                            for g in (1, 2, 3)]
+    seen = {1: 0, 2: 0, 3: 0}
+    for k in complexes:
+        ctx = Context(k)
+        alg, model = ctx.algebra(ring), ctx.model(ring)
+        for j_set in all_subsets(k.m)[1:]:
+            for n in seen:
+                for kappa in ctx.homology(j_set, ring, n)[1]:
+                    cyc = bar_cycle(alg, kappa)
+                    assert verify_bar_cycle(cyc, model), (k, sorted(j_set))
+                    assert normal_form_closed(cyc)
+                    seen[n] += 1
+                    if n == 1:
+                        continue
+                    (tensor, coeff), *rest = cyc.terms.items()
+                    mutants = [BarElement(alg, dict(rest))]
+                    if ring != GF(2):
+                        mutants.append(BarElement(
+                            alg, {**cyc.terms, tensor: ring.neg(coeff)}))
+                    for bad in mutants:
+                        assert not verify_bar_cycle(bad, model)
+                        assert not normal_form_closed(bad)
+    assert all(seen.values()), seen
+
+
+def test_bar_products_leaving_the_model_use_normal_forms():
+    alg = PCAlgebra(PENTAGON)
+    model = SquarefreeModel(alg)
+    u1, u2, u3 = (alg.generator(i) for i in (1, 2, 3))
+    # [u1|u1]: the supports meet, so u1bar*u1 = 0 is taken on normal forms
+    elem = BarElement(alg, {(u1, u1): 1})
+    ((merged,), _), = bar_differential(elem, model)
+    assert isinstance(merged, PCElement) and merged.is_zero()
+    assert verify_bar_cycle(elem, model)
+    # [u1|u3u1]: u1bar*u3u1 = u1u3u1 != 0 repeats u1, a normal word apart
+    elem = BarElement(alg, {(u1, u3 * u1): 1})
+    assert not verify_bar_cycle(elem, model) and not normal_form_closed(elem)
+    # (u1+u2)bar*u1 = u2u1 leaves the model, but its word repeats no vertex:
+    # it goes back to the model's basis and cancels d[u2|u1]
+    elem = BarElement(alg, {(u1 + u2, u1): 1, (u2, u1): -1})
+    assert verify_bar_cycle(elem, model) and normal_form_closed(elem)
+    elem = BarElement(alg, {(u1 + u2, u1): 1, (u2, u1): 1})
+    assert not verify_bar_cycle(elem, model)
