@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from types import GeneratorType
 
-from .errors import ChainConditionViolated, LoopPresError
+from .errors import LoopPresError
 from .exactlin import parse_ring
 from .homotopy import (
     loop_poincare_series,
@@ -41,14 +41,14 @@ from .presentation import (
     verify_presentation,
 )
 from .simplicial import (
-    FaceIndex,
     SimplicialComplex,
     all_subsets,
     clique_complex,
     f_h_vectors,
     is_flag,
+    reduced_betti0,
+    reduced_homology_invariants,
 )
-from .torbar import bar_cycle, koszul_invariants, verify_bar_cycle
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -187,12 +187,9 @@ def cmd_analyze(k, args, ring, flag_ok, witness):
         "subsets": [],
         "lines": [],
     }
-    faces = FaceIndex(k)  # k need not be flag, so no Context
-    for j in all_subsets(k.m):
-        if not j:
-            continue
-        b0 = faces.betti0(j)
-        h1 = faces.homology_invariants(j, ring, (2, 3))[0]
+    for j in all_subsets(k.m)[1:]:  # k need not be flag, so no Context
+        b0 = reduced_betti0(k, j)
+        h1 = reduced_homology_invariants(k, j, ring, 2)
         if b0 or not h1.is_zero():
             payload["subsets"].append(
                 {"J": sorted(j), "b0": b0, "h1_rank": h1.rank,
@@ -279,39 +276,14 @@ def cmd_hilbert(k, args, ring):
 
 
 def cmd_verify(k, args, ring):
-    pres = build_presentation(k, ring, args.grading)
-    report = verify_presentation(k, pres)
-    checks = list(report.checks)
-
-    alg, model = pres.context.algebra(ring), pres.context.model(ring)
-    faces = pres.context.faces
-    tor_rows = []
-    cycles_total = cycles_ok = 0
-    for j in all_subsets(k.m)[1:]:  # every nonempty J
-        simp = faces.homology_invariants(j, ring, range(len(j) + 3))
-        try:
-            tor_rows.append(koszul_invariants(faces, j, ring) == simp)
-        except ChainConditionViolated:  # the strand is not a complex
-            tor_rows.append(False)
-        for n in (1, 2, 3):  # lift cycles only where H_{n-1}(K_J) != 0
-            if n < len(simp) and not simp[n].is_zero():
-                for kappa in pres.context.homology(j, ring, n)[1]:
-                    cycles_total += 1
-                    cycles_ok += verify_bar_cycle(bar_cycle(alg, kappa), model)
-    checks.append(("Tor strand cross-check", all(tor_rows),
-                   "%d/%d subsets agree" % (sum(tor_rows), len(tor_rows))))
-    checks.append(("bar cycles closed", cycles_ok == cycles_total,
-                   "%d/%d generating cycles" % (cycles_ok, cycles_total)))
-
-    ok = all(c[1] for c in checks)
+    report = verify_presentation(k, build_presentation(k, ring, args.grading))
     if args.as_json:
-        write_json({"ok": ok, "checks": [{"name": n, "ok": o, "detail": d}
-                                         for n, o, d in checks]})
+        write_json({"ok": report.ok, "checks": [
+            {"name": n, "ok": o, "detail": d} for n, o, d in report.checks]})
     else:
-        for name, good, detail in checks:
-            print("%-24s %s  %s" % (name, "PASS" if good else "FAIL", detail))
-        print("verification %s" % ("passed" if ok else "FAILED"))
-    return EXIT_OK if ok else EXIT_FAIL
+        print(report.summary())
+        print("verification %s" % ("passed" if report.ok else "FAILED"))
+    return EXIT_OK if report.ok else EXIT_FAIL
 
 
 def main(argv=None):

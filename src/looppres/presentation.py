@@ -33,7 +33,7 @@ import threading
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import NotACycle, PreconditionViolated
+from .errors import ChainConditionViolated, NotACycle, PreconditionViolated
 from .exactlin import ExactMatrix, ZZ, cokernel_invariants
 from .freealg import (
     FreePolynomial,
@@ -48,23 +48,23 @@ from .freealg import (
 )
 from .pcalg import PCAlgebra, SquarefreeModel, commutator_value, evaluate
 from .simplicial import (
-    FaceIndex,
     SimplicialCycle,
     all_subsets,
     is_cycle,
-    lift_homology,
+    reduced_betti0,
+    reduced_homology,
+    reduced_homology_invariants,
     require_flag,
 )
+from .torbar import bar_cycle, koszul_invariants, verify_bar_cycle
 
 
 class Context:
-    """One computation's flag complex (checked once), its face index and
-    memos."""
+    """One computation's flag complex (checked once) and memos."""
 
     def __init__(self, k):
         require_flag(k)
         self.complex = k
-        self.faces = FaceIndex(k)
         self.rewrites = {}  # (J, i) -> rewrite_chat
         self.chat_texts = {}  # (ring kind, p, J, i) -> _chat_text
         self.algebra_by_ring = {}
@@ -84,17 +84,14 @@ class Context:
         return self.model_by_ring[ring]
 
     def homology(self, j_set, ring, degree):
-        """``reduced_homology`` of K_J, lifted only where the face index
-        finds it nonzero; a nonzero one is kept for reuse."""
+        """``reduced_homology`` of K_J; a nonzero one is kept for reuse."""
         key = (ring, j_set, degree)
         if key in self.cycles:
             return self.cycles[key]
-        inv = self.faces.homology_invariants(j_set, ring,
-                                             (degree, degree + 1))[0]
-        if inv.is_zero():
-            return inv, []
-        return self.cycles.setdefault(key, lift_homology(
-            self.complex, j_set, ring, degree))
+        result = reduced_homology(self.complex, j_set, ring, degree)
+        if result[0].is_zero():
+            return result
+        return self.cycles.setdefault(key, result)
 
 
 def _context(k):
@@ -136,7 +133,7 @@ def gptw_generators(k, ring=ZZ):
             continue
         # Theta(J): the least vertex of each component that misses max(J)
         top = 1 << (max(j_set) - 1)
-        for comp in ctx.faces.components(j_set):
+        for comp in ctx.complex.index.components(j_set):
             if comp & top:
                 continue
             i = (comp & -comp).bit_length()
@@ -194,7 +191,8 @@ def _rewrite_uncached(ctx, j_set, i):
     top = max(j_set)
     if i == top:
         return rewrite_chat(ctx, j_set, max(j_set - {i}))
-    comp = next(c for c in ctx.faces.components(j_set) if c >> (i - 1) & 1)
+    comp = next(c for c in ctx.complex.index.components(j_set)
+                if c >> (i - 1) & 1)
     if comp >> (top - 1) & 1:
         if top in ctx.complex.adjacency[i]:
             return FreePolynomial.zero(ZZ)
@@ -405,7 +403,7 @@ def _certificate(ctx):
     for j_set in all_subsets(ctx.complex.m):
         if not j_set:
             continue
-        b0 = ctx.faces.betti0(j_set)
+        b0 = reduced_betti0(ctx.complex, j_set)
         if b0:
             cert.b0_by_j[j_set] = b0
             n = len(j_set)
@@ -517,10 +515,15 @@ def verify_presentation(k, presentation):
     (2) every rewrite_chat(J, i), |J| >= 2, evaluates to c(J\\i, u_i);
     (3) every relation polynomial evaluates to zero;
     (4) generator counts per J match the rank of H-tilde_0(K_J) by
-        elimination, relation counts the homology certificate.
+        elimination, relation counts the homology certificate;
+    (5) for every nonempty J the Tor strand of multidegree (-|J|, 2J),
+        read by ``koszul_invariants``, matches H-tilde(K_J) in every degree;
+    (6) every bar cycle lifted from a generating cycle of H-tilde_0,
+        H-tilde_1 or H-tilde_2 of some K_J is closed.
     (2) and (3) run in the squarefree model, each symbol bound to the image
     of its generator value; words leaving it must vanish in k[K]^! apart.
-    Failures are reported, never raised.
+    (4)-(6) read one sweep over J of the face index.  Failures are
+    reported, never raised.
     """
     ctx = presentation.context  # reused when built on k
     if ctx.complex != k:
@@ -562,10 +565,24 @@ def verify_presentation(k, presentation):
                                               - rel_bad,
                                               len(presentation.relations))))
 
+    h0, tor_rows, cycles_total, cycles_ok = {}, [], 0, 0
+    index = ctx.complex.index
+    for j in all_subsets(ctx.complex.m)[1:]:  # every nonempty J
+        simp = index.homology_invariants(j, ring, range(len(j) + 3))
+        if simp[1].rank:  # H-tilde_0 by elimination, not by components
+            h0[j] = simp[1].rank
+        try:
+            tor_rows.append(koszul_invariants(ctx.complex, j, ring) == simp)
+        except ChainConditionViolated:  # the strand is not a complex
+            tor_rows.append(False)
+        for n in (1, 2, 3):  # lift cycles only where H_{n-1}(K_J) != 0
+            if n < len(simp) and not simp[n].is_zero():
+                for kappa in ctx.homology(j, ring, n)[1]:
+                    cycles_total += 1
+                    cycles_ok += verify_bar_cycle(bar_cycle(algebra, kappa),
+                                                  model)
+
     cert = presentation.counts_certificate
-    # H-tilde_0 by elimination: generators and certificate read components
-    h0 = {j: inv.rank for j in all_subsets(ctx.complex.m)[1:]
-          if (inv := ctx.faces.homology_invariants(j, ring, (1, 2))[0]).rank}
     gen_ok = Counter(g.j_set for g in presentation.generators) == h0 and \
         len(presentation.generators) == cert.total_generators()
     rel_ok = Counter(rel.degree for rel in presentation.relations) == \
@@ -574,15 +591,19 @@ def verify_presentation(k, presentation):
                    "generators %d, relations %d"
                    % (len(presentation.generators),
                       len(presentation.relations))))
+    checks.append(("Tor strand cross-check", all(tor_rows),
+                   "%d/%d subsets agree" % (sum(tor_rows), len(tor_rows))))
+    checks.append(("bar cycles closed", cycles_ok == cycles_total,
+                   "%d/%d generating cycles" % (cycles_ok, cycles_total)))
     return VerificationReport(checks=checks)
 
 
 def is_free_loop_algebra(k, ring=ZZ):
     """True iff the loop homology algebra is free: H_1(K_J; ring) = 0
     for every J (no relations in any minimal presentation)."""
-    faces = _context(k).faces
-    return all(faces.homology_invariants(j_set, ring, (2, 3))[0].is_zero()
-               for j_set in all_subsets(faces.m) if len(j_set) >= 3)
+    k = _context(k).complex
+    return all(reduced_homology_invariants(k, j_set, ring, 2).is_zero()
+               for j_set in all_subsets(k.m) if len(j_set) >= 3)
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,14 @@ degree -1, and d([I]) = sum_{i in I} (-1)^{|I_<i|} [I \\ i].  With this
 convention the homology of K_empty = {emptyset} is the coefficient ring in
 augmented degree -1, which every downstream Tor bookkeeping formula needs.
 
-Sweeps over all 2^m subsets J read a ``FaceIndex``, built once per complex:
-the faces by size as vertex bitmasks, each with the index positions and signs
-of its boundary.  The faces of K_J are then a mask test, the boundary of K_J
-is a set of sparse integer columns for ``exactlin.column_homology_invariants``
-and path components are a breadth-first search on neighbor masks.
-``boundary_matrix`` stays the dense single-J matrix from which
-``lift_homology`` lifts cycles.
+Every complex builds its ``FaceIndex`` (``k.index``) with its faces: the
+faces by size as vertex bitmasks, each with the index positions and signs of
+its boundary.  The faces of K_J are then a mask test, the boundary of K_J is a
+set of sparse integer columns for ``exactlin.column_homology_invariants`` and
+path components are a breadth-first search on neighbor masks; components,
+betti numbers and homology invariants all read it.  ``boundary_matrix`` stays
+the dense single-J matrix from which ``reduced_homology`` lifts cycles where
+the index finds homology.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .errors import EmptySubset, FaceOutsideJ, NotFlag, VertexOutOfRange
 from .exactlin import (
     ZZ,
     ExactMatrix,
-    chain_homology_invariants,
     column_homology_invariants,
     homology_with_representatives,
 )
@@ -41,7 +41,9 @@ class SimplicialComplex:
     """Complex given by vertex count m and its maximal faces.
 
     Every singleton {i}, i in [m], must be a face (no ghost vertices).
-    Facet lists are deduplicated and non-maximal entries dropped.
+    Facet lists are deduplicated and non-maximal entries dropped.  The faces,
+    the adjacency and the ``FaceIndex`` (``index``) are built here, from the
+    facets alone, and never change afterwards.
     """
 
     def __init__(self, m, facets, max_m=None):
@@ -80,6 +82,7 @@ class SimplicialComplex:
             adj[a].add(b)
             adj[b].add(a)
         self.adjacency = {i: frozenset(s) for i, s in adj.items()}
+        self.index = FaceIndex(self)
 
     # -- queries --
     def has_face(self, subset):
@@ -281,10 +284,7 @@ def path_components(k, j):
 
     Returned as sorted tuples, ordered by smallest vertex.
     """
-    jmask = _vertex_mask(k.m, j)
-    adj = k.adjacency
-    neighbors = {v: _mask(adj[v]) for v in _vertices(jmask)}
-    return [_vertices(c) for c in _components(neighbors, jmask)]
+    return [_vertices(c) for c in k.index.components(j)]
 
 
 def theta_set(k, j):
@@ -355,19 +355,14 @@ def reduced_homology(k, j, ring=ZZ, degree=1):
     ``degree`` counts face size n, matching the Koszul strand bookkeeping:
     degree n holds faces with n vertices, i.e. simplices of dimension n-1.
     Returns (ModuleInvariants, [SimplicialCycle, ...]) where the cycles are
-    the generator representatives (torsion generators first).
+    the generator representatives (torsion generators first).  The cycles
+    are lifted from ``boundary_matrix`` only where the face index finds the
+    homology nonzero.
     """
     j = frozenset(j)
     inv = reduced_homology_invariants(k, j, ring, degree)
-    if inv.is_zero():  # lift cycles, over ring, only when there are any
+    if inv.is_zero():
         return inv, []
-    return lift_homology(k, j, ring, degree)
-
-
-def lift_homology(k, j, ring=ZZ, degree=1):
-    """``reduced_homology`` for a caller that already knows it is nonzero:
-    the cycles are lifted without computing the invariants first."""
-    j = frozenset(j)
     inv = homology_with_representatives(*(
         boundary_matrix(k, j, n, ring) for n in (degree, degree + 1)))
     basis = faces_within(k, j, degree)
@@ -377,24 +372,20 @@ def lift_homology(k, j, ring=ZZ, degree=1):
 
 
 def reduced_homology_invariants(k, j, ring=ZZ, degree=1):
-    """``reduced_homology`` without cycles, by ``chain_homology_invariants``."""
-    return chain_homology_invariants(
-        [boundary_matrix(k, j, n) for n in (degree, degree + 1)], ring)[0]
+    """``reduced_homology`` without cycles, from the face index."""
+    return k.index.homology_invariants(j, ring, (degree, degree + 1))[0]
 
 
 def reduced_betti0(k, j):
     """b-tilde_0(K_J): one less than the number of path components."""
-    j = frozenset(j)
-    if not j:
-        return 0
-    return len(path_components(k, j)) - 1
+    return max(len(k.index.components(j)) - 1, 0)
 
 
 class FaceIndex:
     """The faces of K by size as vertex bitmasks, with their boundaries.
 
-    Built once per complex, it serves every all-J sweep without a dense
-    matrix.  ``masks[n]`` lists the faces with n vertices in
+    Built with the complex (``k.index``), it serves every per-J query
+    without a dense matrix.  ``masks[n]`` lists the faces with n vertices in
     ``faces_of_size(n)`` order, as bitmasks (bit v-1 for vertex v), and
     ``boundary[n][t]`` holds the (position in ``masks[n-1]``, sign) pairs of
     d(face t), by increasing position; ``neighbors[v]`` is the neighbor mask
@@ -427,8 +418,9 @@ class FaceIndex:
 
     def columns(self, j, n):
         """d from faces of size n to size n-1 in K_J: {position: {row
-        position: +-1}}, the augmented ``boundary_matrix`` by columns."""
-        if n >= len(self.masks):
+        position: +-1}}, the augmented ``boundary_matrix`` by columns; no
+        faces have size n < 0 or above the top."""
+        if not 0 <= n < len(self.masks):
             return {}
         out = ~self.mask(j)
         bd = self.boundary[n]
@@ -444,10 +436,6 @@ class FaceIndex:
     def components(self, j):
         """``path_components`` of K_J, as bitmasks."""
         return _components(self.neighbors, self.mask(j))
-
-    def betti0(self, j):
-        """``reduced_betti0`` of K_J."""
-        return max(len(self.components(j)) - 1, 0)
 
 
 def reduced_euler_characteristic(k, j):

@@ -28,7 +28,7 @@ from .exactlin import (ExactMatrix, ZZ, column_homology_invariants,
                        homology_with_representatives)
 from .freealg import koszul_theta, ordered_splits
 from .pcalg import SquarefreeModel, commutator_value
-from .simplicial import FaceIndex, is_cycle
+from .simplicial import is_cycle
 
 # ---------------------------------------------------------------------------
 # basis bookkeeping
@@ -183,10 +183,11 @@ def g_map(k, j_set, terms):
 def strand_columns(faces, j_set, n):
     """dbar from strand degree n to n-1 in multidegree 2J, by columns.
 
-    ``faces`` is the complex's FaceIndex.  The basis u_{J\\L} (x) chi_L is
-    keyed by the mask of L (bit v-1 for vertex v) over the faces L of K_J
-    with |L| = n, and column L is {L - i: (-1)^{|J\\L|} (-1)^{#{v in J\\L :
-    v > i}}} for i in L: ``dbar``'s Koszul sign, read off popcounts.
+    ``faces`` is the complex's FaceIndex (``k.index``).  The basis
+    u_{J\\L} (x) chi_L is keyed by the mask of L (bit v-1 for vertex v) over
+    the faces L of K_J with |L| = n, and column L is {L - i: (-1)^{|J\\L|}
+    (-1)^{#{v in J\\L : v > i}}} for i in L: ``dbar``'s Koszul sign, read off
+    popcounts.
     """
     if not 0 <= n < len(faces.masks):
         return {}
@@ -223,19 +224,17 @@ def koszul_homology(k, j_set, ring=ZZ, degree=1):
     Must agree with the reduced homology of K_J one dimension down; ``verify``
     reads rank and torsion by universal coefficients (``koszul_invariants``).
     """
-    faces = FaceIndex(k)
-    low, mid, high = (strand_columns(faces, j_set, n)
+    low, mid, high = (strand_columns(k.index, j_set, n)
                       for n in (degree - 1, degree, degree + 1))
     return homology_with_representatives(
         _dense(mid, low, ring), _dense(high, mid, ring), ring)
 
 
-def koszul_invariants(faces, j_set, ring=ZZ):
-    """``koszul_homology`` in degrees 0..|J|+1 without cycles, from the
-    complex's FaceIndex: the strand's integer columns, read by
-    ``column_homology_invariants``."""
+def koszul_invariants(k, j_set, ring=ZZ):
+    """``koszul_homology`` in degrees 0..|J|+1 without cycles: the strand's
+    integer columns, read by ``column_homology_invariants``."""
     return column_homology_invariants(
-        [strand_columns(faces, j_set, n) for n in range(len(j_set) + 3)],
+        [strand_columns(k.index, j_set, n) for n in range(len(j_set) + 3)],
         ring)
 
 

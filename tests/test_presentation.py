@@ -1,3 +1,4 @@
+import copy
 import gc
 import random
 import sys
@@ -353,6 +354,20 @@ def test_verify_presentation_passes():
         assert report.ok, report.summary()
 
 
+def test_verify_runs_six_checks_in_cli_order():
+    # the CLI prints report.checks as they stand, so the library report
+    # carries the Tor strand and the bar cycles too
+    pres = build_presentation(PENTAGON, ZZ)
+    report = verify_presentation(PENTAGON, pres)
+    assert [name for name, _, _ in report.checks] == [
+        "generator values", "rewriting soundness", "relations vanish",
+        "counts vs certificate", "Tor strand cross-check",
+        "bar cycles closed"]
+    assert report.ok, report.summary()
+    assert check_rows(report)["Tor strand cross-check"] == (
+        True, "31/31 subsets agree")
+
+
 def test_verify_catches_corruption():
     pres = build_presentation(SQUARE, ZZ)
     bad_rel = Relation(degree=4, poly=G({1, 3}, 1) * G({2, 4}, 2),
@@ -537,9 +552,13 @@ def test_context_and_complex_give_the_same_presentation(name, ring):
 
 
 def test_complex_holds_no_memo_state():
+    # the face index is built with the complex and never changes after
     k = cycle_complex(6)
     fields = set(vars(k))
-    assert fields == {"m", "facets", "_faces", "_faces_by_size", "adjacency"}
+    assert fields == {"m", "facets", "_faces", "_faces_by_size", "adjacency",
+                      "index"}
+    index = k.index
+    built = copy.deepcopy((index.masks, index.boundary, index.neighbors))
     for ring in (ZZ, GF(3)):
         pres = build_presentation(k, ring)
         for rel in pres.relations:
@@ -549,6 +568,8 @@ def test_complex_holds_no_memo_state():
         rewrite_chat(k, frozenset({1, 3, 5}), 3)
         pc_algebra(k, ring)
     assert set(vars(k)) == fields
+    assert k.index is index
+    assert (index.masks, index.boundary, index.neighbors) == built
 
 
 def test_rendered_rewrites_are_looked_up_without_hashing_the_ring(

@@ -252,14 +252,17 @@ def test_rp2_flag12_counts_through_invariants():
     assert h1[QQ].is_zero()
 
 
-def test_homology_invariants_chain_condition_enforced(monkeypatch):
-    import looppres.simplicial as simplicial
-
-    def bad_boundary(k, j, n, ring=ZZ):
-        return ExactMatrix.from_rows([[1]], ZZ)
-    monkeypatch.setattr(simplicial, "boundary_matrix", bad_boundary)
+def test_homology_invariants_chain_condition_enforced():
+    # reduced_homology_invariants reads the complex's own index; corrupt
+    # that of a fresh complex, never a shared one
+    k = octahedron()
+    full = frozenset(range(1, 7))
+    assert reduced_homology_invariants(k, full, ZZ, degree=2).is_zero()
+    _corrupt(k.index, "flip")
     with pytest.raises(ChainConditionViolated):
-        reduced_homology_invariants(PENTAGON, {1, 2}, ZZ, degree=1)
+        reduced_homology_invariants(k, full, ZZ, degree=2)
+    with pytest.raises(ChainConditionViolated):
+        reduced_homology(k, full, ZZ, degree=2)
 
 
 def test_h1_representatives_generate():
@@ -371,29 +374,28 @@ def test_all_subsets_in_size_then_sorted_order():
 
 
 def _check_index_against_dense(k, subsets):
-    faces = FaceIndex(k)
+    faces = k.index
     for j in subsets:
-        for n in range(5):
+        for n in range(-2, 5):  # sizes below 0 and above the top are empty
             # the columns are boundary_matrix's, keyed by index positions,
             # in the same order, so the elimination pivots the same way
             cols = faces.columns(j, n)
             local = {key: t for t, key in enumerate(
-                faces.columns(j, n - 1) if n else ())}
+                faces.columns(j, n - 1) if n > 0 else ())}
             dense = integer_columns(boundary_matrix(k, j, n))
             assert list(dense) == list(range(len(cols)))
             assert [[(local[r], x) for r, x in col.items()]
                     for col in cols.values()] == [
                         list(col.items()) for col in dense.values()]
         for ring in (ZZ, QQ, GF(2), GF(3)):
-            for n in range(4):
+            for n in range(-1, 4):
                 want = chain_homology_invariants(
                     [boundary_matrix(k, j, s) for s in (n, n + 1)], ring)
                 assert faces.homology_invariants(j, ring, (n, n + 1)) == \
                     want, (k, sorted(j), ring, n)
-        assert [tuple(sorted(c)) for c in path_components(k, j)] == [
-            tuple(v + 1 for v in range(k.m) if c >> v & 1)
-            for c in faces.components(j)]
-        assert faces.betti0(j) == reduced_betti0(k, j)
+        # the components against H-tilde_0 by elimination
+        assert reduced_betti0(k, j) == \
+            faces.homology_invariants(j, ZZ, (1, 2))[0].rank
 
 
 @pytest.mark.parametrize("name", ["rp2_minimal", "octahedron", "gnp"])
@@ -414,15 +416,15 @@ def test_face_index_matches_dense_boundaries_flag_rp2():
     sample = [frozenset(rng.sample(range(1, 13), rng.randint(3, 11)))
               for _ in range(12)]
     _check_index_against_dense(k, [frozenset(range(1, 13))] + sample)
-    faces = FaceIndex(k)
-    top = faces.homology_invariants(range(1, 13), ZZ, range(15))
+    top = k.index.homology_invariants(range(1, 13), ZZ, range(15))
     assert [(h.rank, h.torsion) for h in top] == [
         (0, [])] * 2 + [(0, [2])] + [(0, [])] * 11
 
 
 def _corrupt(faces, how):
     """Flip the sign of, or drop, the first boundary entry of the first
-    triangle of a face index."""
+    triangle of a face index: only ever a fresh complex's, since the index
+    is the complex's own."""
     (pos, sign), *rest = faces.boundary[3][0]
     faces.boundary[3][0] = tuple(rest) if how == "drop" else (
         ((pos, -sign),) + tuple(rest))
@@ -431,23 +433,35 @@ def _corrupt(faces, how):
 @pytest.mark.parametrize("how", ["flip", "drop"])
 def test_corrupt_face_index_violates_chain_condition(how):
     k = octahedron()
-    faces = FaceIndex(k)
     full = frozenset(range(1, 7))
-    assert faces.homology_invariants(full, ZZ, (2, 3))[0].rank == 0
-    _corrupt(faces, how)
+    assert k.index.homology_invariants(full, ZZ, (2, 3))[0].rank == 0
+    _corrupt(k.index, how)
     with pytest.raises(ChainConditionViolated):
-        faces.homology_invariants(full, ZZ, (2, 3))
-    # the build's per-J sweep reads the context's index
-    ctx = Context(k)
-    _corrupt(ctx.faces, how)
+        k.index.homology_invariants(full, ZZ, (2, 3))
+    # the build's per-J sweep reads the complex's index
     with pytest.raises(ChainConditionViolated):
-        build_presentation(ctx, ZZ)
+        build_presentation(Context(k), ZZ)
 
 
 def test_face_index_refuses_vertices_outside_range():
-    faces = FaceIndex(PENTAGON)
+    faces = PENTAGON.index
     for j in ({1, 3, 9}, {0, 1, 3}, {-1}):
-        for call in (lambda: faces.columns(j, 2), lambda: faces.betti0(j),
+        for call in (lambda: faces.columns(j, 2), lambda: faces.components(j),
                      lambda: faces.homology_invariants(j, ZZ, (2, 3))):
             with pytest.raises(VertexOutOfRange):
                 call()
+
+
+def test_face_index_has_no_faces_of_negative_size():
+    # a negative size once wrapped round to the top size: columns(J, -1)
+    # were the edges' boundaries, and H-tilde_{-2} of the pentagon read the
+    # rank 1 of its H-tilde_1
+    faces = FaceIndex(PENTAGON)
+    full = range(1, 6)
+    assert faces.columns(full, 2) and faces.columns(full, 0) == {0: {}}
+    for n in (-3, -1, 3):
+        assert faces.columns(full, n) == {}
+    assert faces.homology_invariants(full, ZZ, (-1, 0))[0].is_zero()
+    assert reduced_homology_invariants(PENTAGON, full, ZZ, -1).is_zero()
+    inv, cycles = reduced_homology(PENTAGON, full, ZZ, degree=-1)
+    assert inv.is_zero() and cycles == []
