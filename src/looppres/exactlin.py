@@ -634,6 +634,22 @@ def homology_with_representatives(d1, d2, ring=None):
                             generators=lifts.mul(kernel).data)
 
 
+def column_homology_with_representatives(low, mid, high, ring=ZZ):
+    """``homology_with_representatives`` of sparse integer columns: d1 is
+    ``mid`` with rows in the order of ``low``'s keys, d2 is ``high`` with
+    rows in the order of ``mid``'s keys, so the generator vectors are
+    indexed by ``mid``'s keys in order.  The maps are left as they are."""
+    def dense(columns, rows):
+        place = {r: t for t, r in enumerate(rows)}
+        mat = ExactMatrix.zeros(len(place), len(columns), ring)
+        for col, image in enumerate(columns.values()):
+            for r, x in image.items():
+                mat.data[place[r]][col] = ring.from_int(x)
+        return mat
+    return homology_with_representatives(dense(mid, low), dense(high, mid),
+                                         ring)
+
+
 def cokernel_invariants(m):
     """Invariants of coker(m): R^rows / column span, with generators."""
     zero_top = ExactMatrix.zeros(0, m.rows, m.ring)

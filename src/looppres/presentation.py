@@ -9,12 +9,13 @@ H_1(K_J), synthesized from partitions of J minus an edge.
 The rewriting engine expresses an arbitrary c(J \\ i, u_i) as a
 non-commutative polynomial in the generators.  Recursion scheme, with
 rank(i) the graph distance in K_J to max(J) (same component) or to the
-smallest vertex of i's component (different component):
+smallest vertex of i's component (different component), both read from
+``FaceIndex.distances``:
 
 1. i = max(J): c(J\\i, u_i) = c(J\\j, u_j) for j = max(J \\ i).
 2. same component as max(J): rank 1 means {i, max(J)} is an edge and the
-   element is 0; otherwise pick the first edge {i, j} of the BFS-first
-   shortest path towards max(J) and solve the rearrangement identity for
+   element is 0; otherwise step to the least neighbor j of i of rank one
+   less and solve the rearrangement identity on the edge {i, j} for
    c(J\\i, u_i), rewriting every lower-degree commutator recursively.
 3. different component: rank 0 means i is a generator index; otherwise
    reduce the rank exactly as in case 2, walking towards min(component).
@@ -51,7 +52,6 @@ from .simplicial import (
     SimplicialCycle,
     all_subsets,
     is_cycle,
-    reduced_betti0,
     reduced_homology,
     reduced_homology_invariants,
     require_flag,
@@ -191,44 +191,20 @@ def _rewrite_uncached(ctx, j_set, i):
     top = max(j_set)
     if i == top:
         return rewrite_chat(ctx, j_set, max(j_set - {i}))
-    comp = next(c for c in ctx.complex.index.components(j_set)
-                if c >> (i - 1) & 1)
-    if comp >> (top - 1) & 1:
-        if top in ctx.complex.adjacency[i]:
+    index = ctx.complex.index
+    dist = index.distances(j_set, top)
+    if i in dist:
+        if dist[i] == 1:  # {i, max(J)} is an edge
             return FreePolynomial.zero(ZZ)
-        neighbor = _first_edge_of_shortest_path(ctx.complex, j_set, i, top)
-        return _solve_rearrangement(ctx, j_set, i, neighbor)
-    anchor = (comp & -comp).bit_length()  # the smallest vertex
-    if i == anchor:
-        return FreePolynomial.generator(gptw_symbol(j_set, i), ZZ)
-    neighbor = _first_edge_of_shortest_path(ctx.complex, j_set, i, anchor)
+    else:
+        anchor = min(index.distances(j_set, i))
+        if i == anchor:
+            return FreePolynomial.generator(gptw_symbol(j_set, i), ZZ)
+        dist = index.distances(j_set, anchor)
+    closer = dist[i] - 1
+    neighbor = min(v for v in ctx.complex.adjacency[i]
+                   if dist.get(v) == closer)
     return _solve_rearrangement(ctx, j_set, i, neighbor)
-
-
-def _first_edge_of_shortest_path(k, j_set, source, target):
-    """Other endpoint of the first edge on the BFS-first shortest path.
-
-    BFS from the source explores neighbors in increasing vertex order; the
-    first discovered shortest path to the target is read off via parents.
-    """
-    parent = {source: None}
-    queue = [source]
-    while queue:
-        v = queue.pop(0)
-        if v == target:
-            break
-        for w in sorted(k.adjacency[v]):
-            if w in j_set and w not in parent:
-                parent[w] = v
-                queue.append(w)
-    if target not in parent:
-        raise AssertionError("no path from %d to %d inside %s"
-                             % (source, target, sorted(j_set)))
-    path = [target]
-    while path[-1] != source:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path[1]
 
 
 def _solve_rearrangement(ctx, j_set, i, neighbor):
@@ -376,7 +352,11 @@ def relation_for_cycle(k, kappa, ring=ZZ, normalize_sign=True):
 
 @dataclass
 class PresentationCertificate:
-    """Expected minimal counts, computed straight from homology."""
+    """Minimal counts: b-tilde_0(K_J) and the generators per degree, read
+    off the generator list (one generator per component of K_J other than
+    max(J)'s), and gen H_1(K_J) and the relations per degree from homology.
+    ``verify_presentation`` checks the generators against H-tilde_0 by
+    elimination."""
 
     b0_by_j: dict = field(default_factory=dict)
     h1_gens_by_j: dict = field(default_factory=dict)
@@ -398,20 +378,6 @@ class Presentation:
     context: Context = field(compare=False, repr=False)
 
 
-def _certificate(ctx):
-    cert = PresentationCertificate()
-    for j_set in all_subsets(ctx.complex.m):
-        if not j_set:
-            continue
-        b0 = reduced_betti0(ctx.complex, j_set)
-        if b0:
-            cert.b0_by_j[j_set] = b0
-            n = len(j_set)
-            cert.gen_count_by_degree[n] = \
-                cert.gen_count_by_degree.get(n, 0) + b0
-    return cert
-
-
 def build_presentation(k, ring=ZZ, grading="multi"):
     """Generators plus relations, multigraded or merged per total degree.
 
@@ -426,7 +392,9 @@ def build_presentation(k, ring=ZZ, grading="multi"):
         raise ValueError("grading must be 'multi' or 'z'")
     ctx = _context(k)
     generators = gptw_generators(ctx, ring)
-    cert = _certificate(ctx)
+    cert = PresentationCertificate(
+        b0_by_j=dict(Counter(g.j_set for g in generators)),
+        gen_count_by_degree=dict(Counter(g.degree for g in generators)))
 
     # one block of (J, cycle, invariant factor) entries per J (multigraded)
     # or per |J| (z-graded); Smith reduction of the block's factors merges
@@ -458,7 +426,6 @@ def build_presentation(k, ring=ZZ, grading="multi"):
             relations.append(_merge_relations(ctx, ring, entries, vec))
     relations.sort(key=lambda r: (r.degree,
                                   sorted(_subset_mask(j) for j, _ in r.parts)))
-    assert len(generators) == cert.total_generators()
     return Presentation(complex=ctx.complex, ring=ring, grading=grading,
                         generators=generators, relations=relations,
                         counts_certificate=cert, context=ctx)

@@ -13,11 +13,13 @@ augmented degree -1, which every downstream Tor bookkeeping formula needs.
 Every complex builds its ``FaceIndex`` (``k.index``) with its faces: the
 faces by size as vertex bitmasks, each with the index positions and signs of
 its boundary.  The faces of K_J are then a mask test, the boundary of K_J is a
-set of sparse integer columns for ``exactlin.column_homology_invariants`` and
-path components are a breadth-first search on neighbor masks; components,
-betti numbers and homology invariants all read it.  ``boundary_matrix`` stays
-the dense single-J matrix from which ``reduced_homology`` lifts cycles where
-the index finds homology.
+set of sparse integer columns, and path components and graph distances are
+breadth-first searches on neighbor masks.  Every query about K_J reads it:
+components, betti numbers, homology invariants
+(``exactlin.column_homology_invariants``) and the cycles that
+``reduced_homology`` lifts from the same columns where the invariants are
+nonzero.  ``boundary_matrix`` and ``faces_within`` build K_J's dense matrices
+from the face list; the tests use them as an independent reference.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .exactlin import (
     ZZ,
     ExactMatrix,
     column_homology_invariants,
-    homology_with_representatives,
+    column_homology_with_representatives,
 )
 
 DEFAULT_MAX_M = 24
@@ -355,17 +357,18 @@ def reduced_homology(k, j, ring=ZZ, degree=1):
     ``degree`` counts face size n, matching the Koszul strand bookkeeping:
     degree n holds faces with n vertices, i.e. simplices of dimension n-1.
     Returns (ModuleInvariants, [SimplicialCycle, ...]) where the cycles are
-    the generator representatives (torsion generators first).  The cycles
-    are lifted from ``boundary_matrix`` only where the face index finds the
-    homology nonzero.
+    the generator representatives (torsion generators first).  Where the
+    face index finds the homology nonzero, the cycles are lifted from its
+    columns of sizes degree-1, degree and degree+1, on the basis of the
+    faces of K_J with ``degree`` vertices in ``faces_of_size`` order.
     """
     j = frozenset(j)
     inv = reduced_homology_invariants(k, j, ring, degree)
     if inv.is_zero():
         return inv, []
-    inv = homology_with_representatives(*(
-        boundary_matrix(k, j, n, ring) for n in (degree, degree + 1)))
-    basis = faces_within(k, j, degree)
+    low, mid, high = k.index.columns(j, (degree - 1, degree, degree + 1))
+    inv = column_homology_with_representatives(low, mid, high, ring)
+    basis = [k.faces_of_size(degree)[t] for t in mid]
     return inv, [SimplicialCycle(j=j, dimension=degree - 1, terms=tuple(
         (basis[i], c) for i, c in enumerate(vec) if not ring.is_zero(c)))
         for vec in inv.generators]
@@ -416,31 +419,49 @@ class FaceIndex:
         """J as a bitmask; VertexOutOfRange unless J lies in [m]."""
         return _vertex_mask(self.m, j)
 
-    def columns(self, j, n):
-        """d from faces of size n to size n-1 in K_J: {position: {row
-        position: +-1}}, the augmented ``boundary_matrix`` by columns; no
-        faces have size n < 0 or above the top."""
-        if not 0 <= n < len(self.masks):
-            return {}
+    def columns(self, j, sizes):
+        """d from faces of size n to size n-1 in K_J for each n in
+        ``sizes``: {position: {row position: +-1}}, the augmented
+        ``boundary_matrix`` by columns; no faces have size n < 0 or above the
+        top.  J is checked once."""
         out = ~self.mask(j)
-        bd = self.boundary[n]
-        return {t: dict(bd[t]) for t, f in enumerate(self.masks[n])
-                if not f & out}
+        return [{t: dict(self.boundary[n][t])
+                 for t, f in enumerate(self.masks[n]) if not f & out}
+                if 0 <= n < len(self.masks) else {} for n in sizes]
 
     def homology_invariants(self, j, ring, sizes):
         """``column_homology_invariants`` of d_n on K_J for n in ``sizes``:
         H-tilde_{n-1}(K_J; ring) for each n but the last."""
-        return column_homology_invariants(
-            [self.columns(j, n) for n in sizes], ring)
+        return column_homology_invariants(self.columns(j, sizes), ring)
 
     def components(self, j):
         """``path_components`` of K_J, as bitmasks."""
         return _components(self.neighbors, self.mask(j))
 
+    def distances(self, j, v):
+        """{vertex: graph distance from v in K_J} over v's component, by
+        breadth-first search on neighbor masks; VertexOutOfRange unless v
+        lies in J and J in [m]."""
+        jmask = self.mask(j)
+        seen = frontier = jmask & (1 << (v - 1)) if 1 <= v <= self.m else 0
+        if not frontier:
+            raise VertexOutOfRange("vertex %r not in J" % (v,))
+        dist, step = {}, 0
+        while frontier:
+            reach = 0
+            for u in _vertices(frontier):
+                dist[u] = step
+                reach |= self.neighbors[u]
+            frontier = reach & jmask & ~seen
+            seen |= frontier
+            step += 1
+        return dist
+
 
 def reduced_euler_characteristic(k, j):
-    """chi-tilde(K_J), with chi-tilde of the empty complex = -1."""
-    j = frozenset(j)
+    """chi-tilde(K_J), with chi-tilde of the empty complex = -1;
+    VertexOutOfRange unless J lies in [m]."""
+    j = _vertex_subset(k, j)
     total = 0
     for f in k.faces():
         if f <= j:

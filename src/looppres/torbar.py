@@ -24,8 +24,8 @@ vanishes.
 from itertools import combinations, permutations
 
 from .errors import FaceOutsideJ, NotACycle
-from .exactlin import (ExactMatrix, ZZ, column_homology_invariants,
-                       homology_with_representatives)
+from .exactlin import (ZZ, column_homology_invariants,
+                       column_homology_with_representatives)
 from .freealg import koszul_theta, ordered_splits
 from .pcalg import SquarefreeModel, commutator_value
 from .simplicial import is_cycle
@@ -180,41 +180,33 @@ def g_map(k, j_set, terms):
 # strand homology (the Tor cross-check)
 # ---------------------------------------------------------------------------
 
-def strand_columns(faces, j_set, n):
-    """dbar from strand degree n to n-1 in multidegree 2J, by columns.
+def strand_columns(faces, j_set, sizes):
+    """dbar from strand degree n to n-1 in multidegree 2J, by columns, for
+    each n in ``sizes``.
 
-    ``faces`` is the complex's FaceIndex (``k.index``).  The basis
-    u_{J\\L} (x) chi_L is keyed by the mask of L (bit v-1 for vertex v) over
-    the faces L of K_J with |L| = n, and column L is {L - i: (-1)^{|J\\L|}
-    (-1)^{#{v in J\\L : v > i}}} for i in L: ``dbar``'s Koszul sign, read off
-    popcounts.
+    ``faces`` is the complex's FaceIndex (``k.index``); J is checked once.
+    The basis u_{J\\L} (x) chi_L is keyed by the mask of L (bit v-1 for
+    vertex v) over the faces L of K_J with |L| = n, and column L is
+    {L - i: (-1)^{|J\\L|} (-1)^{#{v in J\\L : v > i}}} for i in L:
+    ``dbar``'s Koszul sign, read off popcounts.
     """
-    if not 0 <= n < len(faces.masks):
-        return {}
     jmask = faces.mask(j_set)
-    out = {}
-    for face in faces.masks[n]:
-        if face & ~jmask:
-            continue
-        rest = jmask ^ face
-        col = out[face] = {}
-        bits = face
-        while bits:
-            low = bits & -bits  # vertex i; -(low << 1) masks the v > i
-            bits ^= low
-            odd = (rest.bit_count() + (rest & -(low << 1)).bit_count()) & 1
-            col[face ^ low] = -1 if odd else 1
+    out = []
+    for n in sizes:
+        cols = {}
+        for face in faces.masks[n] if 0 <= n < len(faces.masks) else ():
+            if face & ~jmask:
+                continue
+            rest = jmask ^ face
+            col = cols[face] = {}
+            bits = face
+            while bits:
+                low = bits & -bits  # vertex i; -(low << 1) masks the v > i
+                bits ^= low
+                odd = (rest.bit_count() + (rest & -(low << 1)).bit_count()) & 1
+                col[face ^ low] = -1 if odd else 1
+        out.append(cols)
     return out
-
-
-def _dense(columns, rows, ring):
-    """Strand columns over ``ring``, rows in the order of ``rows``' keys."""
-    place = {r: t for t, r in enumerate(rows)}
-    mat = ExactMatrix.zeros(len(rows), len(columns), ring)
-    for col, image in enumerate(columns.values()):
-        for r, x in image.items():
-            mat.data[place[r]][col] = ring.from_int(x)
-    return mat
 
 
 def koszul_homology(k, j_set, ring=ZZ, degree=1):
@@ -224,18 +216,15 @@ def koszul_homology(k, j_set, ring=ZZ, degree=1):
     Must agree with the reduced homology of K_J one dimension down; ``verify``
     reads rank and torsion by universal coefficients (``koszul_invariants``).
     """
-    low, mid, high = (strand_columns(k.index, j_set, n)
-                      for n in (degree - 1, degree, degree + 1))
-    return homology_with_representatives(
-        _dense(mid, low, ring), _dense(high, mid, ring), ring)
+    return column_homology_with_representatives(*strand_columns(
+        k.index, j_set, (degree - 1, degree, degree + 1)), ring)
 
 
 def koszul_invariants(k, j_set, ring=ZZ):
     """``koszul_homology`` in degrees 0..|J|+1 without cycles: the strand's
     integer columns, read by ``column_homology_invariants``."""
     return column_homology_invariants(
-        [strand_columns(k.index, j_set, n) for n in range(len(j_set) + 3)],
-        ring)
+        strand_columns(k.index, j_set, range(len(j_set) + 3)), ring)
 
 
 # ---------------------------------------------------------------------------

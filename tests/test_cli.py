@@ -366,9 +366,9 @@ def test_verify_tor_row_fails_on_broken_dbar(monkeypatch, tmp_path, capsys):
     # the strand kernel writes dbar's columns; each loses its first term
     real = torbar.strand_columns
 
-    def strand_dropping_a_term(faces, j_set, n):
-        out = real(faces, j_set, n)
-        for col in out.values():
+    def strand_dropping_a_term(faces, j_set, sizes):
+        out = real(faces, j_set, sizes)
+        for col in (col for cols in out for col in cols.values()):
             if len(col) > 1:
                 del col[next(iter(col))]
         return out

@@ -8,7 +8,9 @@ from dataclasses import replace
 
 import pytest
 
-from corpus import gnp_flag
+import looppres.presentation as presentation
+import looppres.simplicial as simplicial
+from corpus import gnp_flag, rp2_flag12
 from looppres.errors import (
     FaceOutsideJ,
     NotACycle,
@@ -46,9 +48,11 @@ from looppres.simplicial import (
     clique_complex,
     cycle_complex,
     disjoint_points,
+    octahedron,
     path_complex,
     path_components,
     reduced_betti0,
+    reduced_euler_characteristic,
     reduced_homology,
     reduced_homology_invariants,
     rp2_minimal,
@@ -382,8 +386,8 @@ def test_verify_catches_corruption():
 
 def test_verify_counts_generators_by_elimination(monkeypatch):
     # a component search that merges two components of some K_J loses a
-    # generator; the certificate's b0 reads the same search, so only the
-    # rank of H-tilde_0(K_J) by elimination can tell
+    # generator; the certificate's b0 is read off the generators it chose,
+    # so only the rank of H-tilde_0(K_J) by elimination can tell
     k = gnp_flag(6, 1)
     real = FaceIndex.components
 
@@ -399,6 +403,77 @@ def test_verify_counts_generators_by_elimination(monkeypatch):
     assert not checks["counts vs certificate"]
     assert all(ok for name, ok in checks.items()
                if name != "counts vs certificate")
+
+
+def _first_edge_of_shortest_path(k, j_set, source, target):
+    """Other endpoint of the first edge on the BFS-first shortest path: BFS
+    from the source explores neighbors in increasing vertex order, and the
+    first discovered shortest path to the target is read off via parents."""
+    parent = {source: None}
+    queue = [source]
+    while queue:
+        v = queue.pop(0)
+        if v == target:
+            break
+        for w in sorted(k.adjacency[v]):
+            if w in j_set and w not in parent:
+                parent[w] = v
+                queue.append(w)
+    path = [target]
+    while path[-1] != source:
+        path.append(parent[path[-1]])
+    return path[-2]
+
+
+def test_rewrite_steps_along_the_bfs_first_shortest_path(monkeypatch):
+    # the engine steps to the least neighbor one closer to the target, the
+    # edge that the BFS-first shortest path leaves i by
+    steps = []
+    monkeypatch.setattr(presentation, "_solve_rearrangement",
+                        lambda ctx, j_set, i, neighbor: steps.append(neighbor))
+    rng = random.Random(12)
+    rp2_sample = [frozenset(rng.sample(range(1, 13), rng.randint(2, 12)))
+                  for _ in range(300)]
+    cases = [(cycle_complex(m), None) for m in (5, 6, 7)] + [
+        (octahedron(), None)] + [
+        (gnp_flag(8, seed, p=0.4), None) for seed in (1, 2, 3)] + [
+        (rp2_flag12(), rp2_sample)]
+    compared = 0
+    for k, subsets in cases:
+        ctx = Context(k)
+        for j_set in subsets or all_subsets(k.m):
+            if len(j_set) < 2:
+                continue
+            top = max(j_set)
+            comps = path_components(k, j_set)
+            for i in sorted(j_set - {top}):
+                comp = next(c for c in comps if i in c)
+                target = top if top in comp else comp[0]
+                steps.clear()
+                presentation._rewrite_uncached(ctx, j_set, i)
+                if i == target or (target == top and top in k.adjacency[i]):
+                    assert steps == [], (k, sorted(j_set), i)
+                    continue
+                compared += 1
+                assert steps == [_first_edge_of_shortest_path(
+                    k, j_set, i, target)], (k, sorted(j_set), i)
+    assert compared > 2000
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(3)], ids=repr)
+@pytest.mark.parametrize("name", ["octahedron", "gnp-7-0.4-1"])
+def test_build_and_verify_read_only_the_face_index(monkeypatch, name, ring):
+    # the dense boundary_matrix and faces_within are the tests' reference,
+    # not a path of the build or of verify
+    def refused(*args, **kwargs):
+        raise AssertionError("dense K_J path used")
+    monkeypatch.setattr(simplicial, "boundary_matrix", refused)
+    monkeypatch.setattr(simplicial, "faces_within", refused)
+    k = octahedron() if name == "octahedron" else gnp_flag(7, 1, p=0.4)
+    pres = build_presentation(k, ring)
+    assert pres.relations
+    report = verify_presentation(k, pres)
+    assert report.ok, report.summary()
 
 
 def test_is_free_loop_algebra():
@@ -528,6 +603,8 @@ def test_subset_outside_vertex_range_is_refused(j_set):
         lambda: reduced_homology(PENTAGON, j_set, ZZ, degree=1),
         lambda: reduced_homology_invariants(PENTAGON, j_set, ZZ, degree=1),
         lambda: boundary_matrix(PENTAGON, j_set, 2),
+        lambda: PENTAGON.index.distances(j_set, 1),
+        lambda: reduced_euler_characteristic(PENTAGON, j_set),
     ]
     for call in calls:
         with pytest.raises(VertexOutOfRange):

@@ -18,6 +18,7 @@ from looppres.exactlin import (
     integer_columns,
     module_gen_rel,
 )
+import looppres.simplicial as simplicial
 from looppres.presentation import Context, build_presentation
 from looppres.simplicial import (
     FaceIndex,
@@ -44,6 +45,7 @@ from looppres.simplicial import (
     simplex,
     theta_set,
 )
+from looppres.torbar import koszul_invariants
 
 PENTAGON = cycle_complex(5)
 SQUARE = cycle_complex(4)
@@ -379,9 +381,8 @@ def _check_index_against_dense(k, subsets):
         for n in range(-2, 5):  # sizes below 0 and above the top are empty
             # the columns are boundary_matrix's, keyed by index positions,
             # in the same order, so the elimination pivots the same way
-            cols = faces.columns(j, n)
-            local = {key: t for t, key in enumerate(
-                faces.columns(j, n - 1) if n > 0 else ())}
+            below, cols = faces.columns(j, (n - 1, n))
+            local = {key: t for t, key in enumerate(below)}
             dense = integer_columns(boundary_matrix(k, j, n))
             assert list(dense) == list(range(len(cols)))
             assert [[(local[r], x) for r, x in col.items()]
@@ -446,10 +447,55 @@ def test_corrupt_face_index_violates_chain_condition(how):
 def test_face_index_refuses_vertices_outside_range():
     faces = PENTAGON.index
     for j in ({1, 3, 9}, {0, 1, 3}, {-1}):
-        for call in (lambda: faces.columns(j, 2), lambda: faces.components(j),
+        for call in (lambda: faces.columns(j, (2,)),
+                     lambda: faces.components(j),
                      lambda: faces.homology_invariants(j, ZZ, (2, 3))):
             with pytest.raises(VertexOutOfRange):
                 call()
+
+
+def _bfs_distances(k, j, v):
+    """Graph distances from v in K_J, layer by layer on frozensets."""
+    dist, layer, step = {v: 0}, {v}, 0
+    while layer:
+        step += 1
+        layer = {w for u in layer for w in k.adjacency[u]
+                 if w in j and w not in dist}
+        dist.update(dict.fromkeys(layer, step))
+    return dist
+
+
+def test_distances_match_frozenset_bfs():
+    rng = random.Random(20)
+    for m in range(1, 9):
+        for seed in range(1, 4):
+            k = gnp_flag(m, seed, p=rng.uniform(0.2, 0.6))
+            for j in all_subsets(m):
+                for v in j:
+                    assert k.index.distances(j, v) == _bfs_distances(k, j, v)
+    faces = PENTAGON.index
+    for j, v in (({1, 2}, 3), ({1, 2}, 0), ({1, 2}, 6), ({1, 9}, 1)):
+        with pytest.raises(VertexOutOfRange):
+            faces.distances(j, v)
+
+
+def test_one_mask_per_subset_query(monkeypatch):
+    # J is checked once per query, not once per size
+    calls = []
+    real = simplicial._vertex_mask
+
+    def counted(m, j):
+        calls.append(j)
+        return real(m, j)
+    monkeypatch.setattr(simplicial, "_vertex_mask", counted)
+    k = octahedron()
+    for j in all_subsets(k.m)[1:]:
+        for query in (
+                lambda: k.index.homology_invariants(j, ZZ, range(len(j) + 3)),
+                lambda: koszul_invariants(k, j, ZZ)):
+            calls.clear()
+            query()
+            assert len(calls) == 1, sorted(j)
 
 
 def test_face_index_has_no_faces_of_negative_size():
@@ -458,9 +504,9 @@ def test_face_index_has_no_faces_of_negative_size():
     # rank 1 of its H-tilde_1
     faces = FaceIndex(PENTAGON)
     full = range(1, 6)
-    assert faces.columns(full, 2) and faces.columns(full, 0) == {0: {}}
-    for n in (-3, -1, 3):
-        assert faces.columns(full, n) == {}
+    edges, empty = faces.columns(full, (2, 0))
+    assert edges and empty == {0: {}}
+    assert faces.columns(full, (-3, -1, 3)) == [{}, {}, {}]
     assert faces.homology_invariants(full, ZZ, (-1, 0))[0].is_zero()
     assert reduced_homology_invariants(PENTAGON, full, ZZ, -1).is_zero()
     inv, cycles = reduced_homology(PENTAGON, full, ZZ, degree=-1)

@@ -196,15 +196,16 @@ def test_koszul_invariants_match_koszul_homology():
 def test_koszul_invariants_chain_condition_enforced(monkeypatch):
     import looppres.torbar as torbar
 
-    def bad_strand(faces, j_set, n):
-        return {0: {0: 1}}
+    def bad_strand(faces, j_set, sizes):
+        return [{0: {0: 1}} for _ in sizes]
     monkeypatch.setattr(torbar, "strand_columns", bad_strand)
     with pytest.raises(ChainConditionViolated):
         koszul_invariants(PENTAGON, {1, 2}, ZZ)
 
 
 def test_strand_basis_is_squarefree_faces():
-    assert list(strand_columns(PENTAGON.index, {1, 2, 3}, 2)) == [
+    (cols,) = strand_columns(PENTAGON.index, {1, 2, 3}, (2,))
+    assert list(cols) == [
         0b011, 0b110]  # the faces {1, 2} and {2, 3}
 
 
@@ -220,14 +221,15 @@ def test_strand_columns_are_dbar():
         random_flag(rng, max_m=7) for _ in range(10)]
     for k in complexes:
         for j_set in all_subsets(k.m):
-            for n in range(-1, len(j_set) + 3):
+            sizes = range(-1, len(j_set) + 3)
+            for n, got in zip(sizes, strand_columns(k.index, j_set, sizes),
+                              strict=True):
                 want = {}
                 for face in faces_within(k, j_set, n):
                     image = dbar(k, j_set - face, alpha_from_face(face))
                     assert all(i2 | set(a2) == j_set for i2, a2 in image)
                     want[face_mask(face)] = {
                         face_mask(a2): c for (_, a2), c in image.items()}
-                got = strand_columns(k.index, j_set, n)
                 assert list(got.items()) == list(want.items()), \
                     (k, sorted(j_set), n)
 
