@@ -387,8 +387,8 @@ def reduced_betti0(k, j):
 class FaceIndex:
     """The faces of K by size as vertex bitmasks, with their boundaries.
 
-    Built with the complex (``k.index``), it serves every per-J query
-    without a dense matrix.  ``masks[n]`` lists the faces with n vertices in
+    Built with the complex (``k.index``), it serves every per-J query; only
+    a cycle lift densifies its columns.  ``masks[n]`` lists the faces with n vertices in
     ``faces_of_size(n)`` order, as bitmasks (bit v-1 for vertex v), and
     ``boundary[n][t]`` holds the (position in ``masks[n-1]``, sign) pairs of
     d(face t), by increasing position; ``neighbors[v]`` is the neighbor mask
