@@ -634,7 +634,7 @@ def homology_with_representatives(d1, d2, ring=None):
                             generators=lifts.mul(kernel).data)
 
 
-def column_homology_with_representatives(low, mid, high, ring=ZZ):
+def column_homology_with_representatives(low, mid, high, ring):
     """``homology_with_representatives`` of sparse integer columns: d1 is
     ``mid`` with rows in the order of ``low``'s keys, d2 is ``high`` with
     rows in the order of ``mid``'s keys, so the generator vectors are
