@@ -232,35 +232,6 @@ def _identity_rows(n, ring):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def det_sign_unimodular(m):
-    """Determinant of an integer matrix that is expected to be +-1.
-
-    Plain fraction-free expansion via Bareiss; used in tests to certify
-    unimodularity of SNF transforms.
-    """
-    n = m.rows
-    if n != m.cols:
-        raise ValueError("determinant of non-square matrix")
-    a = [row[:] for row in m.data]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1] if n else 1
-
-
 # ---------------------------------------------------------------------------
 # elimination steps and the two dense cores
 # ---------------------------------------------------------------------------
@@ -518,6 +489,15 @@ class ModuleInvariants:
 
     def is_zero(self):
         return self.rank == 0 and not self.torsion
+
+
+def direct_sum(modules):
+    """Invariants of a direct sum of modules: the ranks add, and the torsion
+    is the Smith chain of all their torsion factors on one diagonal."""
+    torsion = enumerate(x for mod in modules for x in mod.torsion)
+    return ModuleInvariants(rank=sum(mod.rank for mod in modules), torsion=[
+        x for x in column_invariant_factors({t: {t: x} for t, x in torsion})
+        if x != 1])
 
 
 def chain_homology_invariants(diffs, ring=ZZ):

@@ -27,6 +27,9 @@ non-edge {a<b}, a in A, b in B, from a to b, and s(A,B) is
 and one sign per pair of terms; ``verify_presentation`` and the bar
 cycles' check (``torbar.verify_bar_cycle``) work in it.
 
+Free polynomials are evaluated, in k[K]^! or in the model, by one walk
+over their sorted words that keeps only the current word's prefix products.
+
 Graded dimensions count the paths of the automaton of normal words, whose
 state is the set of letters that may still be appended to the word.
 
@@ -43,7 +46,7 @@ from .errors import (
     VertexOutOfRange,
 )
 from .exactlin import ZZ
-from .freealg import FreePolynomial, render_sum
+from .freealg import FreePolynomial, render_sum, word_sort_key
 from .simplicial import require_flag
 
 
@@ -150,6 +153,9 @@ class PCElement:
     def is_zero(self):
         return not self.terms
 
+    def __bool__(self):
+        return bool(self.terms)
+
     def degree(self):
         """Common word length; None for 0, NotHomogeneous if mixed."""
         lens = {len(w) for w, _ in self.terms}
@@ -233,34 +239,42 @@ def evaluate(poly, algebra, assignment=None):
 
     Atoms u_i go to the generators automatically; composite symbols must be
     bound in ``assignment`` (symbol -> PCElement) or UnboundSymbol is raised.
-    Within one call each proper prefix is multiplied out once and kept, so
-    words sharing a prefix share its product; a zero prefix ends the word.
+    Each distinct prefix is multiplied out once (``_word_values``).
     """
     if poly.ring != algebra.ring:
         raise RingMismatch("polynomial ring %r vs algebra ring %r"
                            % (poly.ring, algebra.ring))
-    assignment = assignment or {}
-    prefixes = {(): algebra.one()}
-
-    def value(word):
-        if word in prefixes:
-            return prefixes[word]
-        factor = prefixes[word[:-1]] = value(word[:-1])
-        sym = word[-1]
-        if factor.is_zero():
-            return factor
-        if sym.kind == "u":
-            return factor * algebra.generator(sym.i)
-        if sym not in assignment:
-            raise UnboundSymbol("no value bound for %s" % sym.render())
-        return factor * assignment[sym]
-
     acc = {}
-    for word, coeff in poly.terms.items():
-        for w, c in value(word).terms:
+    for _, coeff, value in _word_values(poly, algebra.one(), PCElement.__mul__,
+                                        algebra.generator, assignment or {}):
+        for w, c in value.terms:
             acc[w] = acc.get(w, 0) + coeff * c
-    value = None  # value() refers to itself: free it now, not at next GC
     return algebra._collect(acc)
+
+
+def _word_values(poly, one, mul, generator, binding):
+    """Yield (word, coefficient, value) per word of ``poly``: ``one`` times
+    ``generator(i)`` per u_i and ``binding[symbol]`` per composite.  Sorted,
+    the words that share a prefix are adjacent, so each distinct prefix is
+    multiplied out once and only the current word's are kept.  A false value
+    (zero, or None off the model) goes on unmultiplied, and the symbols after
+    it are not looked up."""
+    terms, chain, values = poly.terms, (), [one]  # the value of chain[:n] at n
+    for word in sorted(terms, key=word_sort_key) if len(terms) > 1 else terms:
+        n, top = 0, min(len(chain), len(word))
+        while n < top and chain[n] is word[n]:
+            n += 1
+        del values[n + 1:]
+        factor = values[-1]
+        for sym in word[n:]:
+            if factor:
+                if sym.kind != "u" and sym not in binding:
+                    raise UnboundSymbol("no value bound for %s" % sym.render())
+                factor = mul(factor, generator(sym.i) if sym.kind == "u"
+                             else binding[sym])
+            values.append(factor)
+        chain = word
+        yield word, terms[word], factor
 
 
 def commutator_value(algebra, prefix, i):
@@ -391,35 +405,15 @@ class SquarefreeModel:
         if poly.ring != self.algebra.ring:
             raise RingMismatch("polynomial ring %r vs model ring %r"
                                % (poly.ring, self.algebra.ring))
-        prefixes = {(): {0: {0: self.algebra.ring.one()}}}
-
-        def value(word):
-            if word in prefixes:
-                return prefixes[word]
-            factor = prefixes[word[:-1]] = value(word[:-1])
-            sym = word[-1]
-            if not factor:  # zero, or outside the model
-                return factor
-            if sym.kind == "u":
-                return self.mul(factor, self.generator(sym.i))
-            if sym not in binding:
-                raise UnboundSymbol("no value bound for %s" % sym.render())
-            return self.mul(factor, binding[sym])
-
-        acc, rest = {}, {}  # acc: plain + and *, reduced once at the end
-        for word, coeff in poly.terms.items():
-            v = value(word)
+        value, rest = {}, {}
+        for word, coeff, v in _word_values(
+                poly, {0: {0: self.algebra.ring.one()}}, self.mul,
+                self.generator, binding):
             if v is None:
                 rest[word] = coeff
-                continue
-            for support, terms in v.items():
-                row = acc.setdefault(support, {})
-                for o, c in terms.items():
-                    row[o] = row.get(o, 0) + coeff * c
-        value = None  # value() refers to itself: free it now, not at next GC
-        out = {}
-        self.accumulate(out, acc)  # reduced, zeros dropped
-        return out, FreePolynomial._wrap(poly.ring, rest)
+            else:
+                self.accumulate(value, v, coeff)
+        return value, FreePolynomial._wrap(poly.ring, rest)
 
 
 # ---------------------------------------------------------------------------

@@ -158,8 +158,9 @@ def is_flag(k):
 
     On failure also returns one minimal non-face of size >= 3 as a witness:
     (False, witness).  Equivalent test: K is the clique complex of its own
-    1-skeleton, so we walk cliques of the adjacency graph and look for one
-    that is not a face.
+    1-skeleton, so we walk cliques of the adjacency graph, by size, and look
+    for one that is not a face.  Every smaller clique was a face one level
+    earlier, so the first clique that is not is a minimal non-face.
     """
     adj = k.adjacency
     cliques = [frozenset([i, j]) for i in k.vertices() for j in adj[i] if i < j]
@@ -167,31 +168,14 @@ def is_flag(k):
         nxt = []
         for c in cliques:
             top = max(c)
-            common = None
-            for v in c:
-                common = adj[v] if common is None else common & adj[v]
-            for v in sorted(common):
+            for v in sorted(frozenset.intersection(*(adj[v] for v in c))):
                 if v > top:
                     cand = c | {v}
                     if not k.has_face(cand):
-                        return False, _shrink_to_minimal_nonface(k, cand)
+                        return False, cand
                     nxt.append(cand)
         cliques = nxt
     return True, None
-
-
-def _shrink_to_minimal_nonface(k, s):
-    cur = set(s)
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(cur):
-            smaller = cur - {v}
-            if len(smaller) >= 2 and not k.has_face(smaller):
-                cur = smaller
-                changed = True
-                break
-    return frozenset(cur)
 
 
 def require_flag(k):

@@ -250,18 +250,41 @@ def naive_evaluate(poly, algebra, assignment):
     return out
 
 
+def naive_model_evaluate(model, poly, binding):
+    """Reference for ``SquarefreeModel.evaluate``: every word multiplied out
+    afresh, its products stopped at the first zero or off-model prefix."""
+    value, rest = {}, {}
+    for word, coeff in poly.terms.items():
+        factor = {0: {0: model.algebra.ring.one()}}
+        for sym in word:
+            if not factor:
+                break
+            factor = model.mul(factor, model.generator(sym.i)
+                               if sym.kind == "u" else binding[sym])
+        if factor is None:
+            rest[word] = coeff
+        else:
+            model.accumulate(value, factor, coeff)
+    return value, rest
+
+
 @pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(3)])
 def test_evaluate_matches_naive_evaluation(ring):
     rng = random.Random(11)
     k = clique_complex(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (2, 4)])
     alg = PCAlgebra(k, ring)
+    model = SquarefreeModel(alg)
     assignment = {}
-    for j_set in ({1, 3}, {2, 5}, {1, 3, 5}, {1, 4}):
+    for j_set in ({1, 3}, {2, 5}, {1, 3, 5}, {1, 4}, {1, 2}):  # {1, 2}: zero
         for i in j_set:
             assignment[gptw_symbol(j_set, i)] = commutator_value(
                 alg, frozenset(j_set) - {i}, i)
+    binding = {sym: model.from_element(v) for sym, v in assignment.items()}
     letters = [atom_u(v) for v in range(1, 6)] + list(assignment)
-    prefixes = [(), (atom_u(1), atom_u(1))]  # the second one is zero
+    zero = gptw_symbol({1, 2}, 1)
+    # a zero prefix, one that leaves the model and one zero only in the model
+    prefixes = [(), (zero,), (atom_u(1), atom_u(1))]
+    leaves = 0
     for _ in range(40):
         terms = {}
         for _ in range(rng.randint(1, 30)):
@@ -273,10 +296,86 @@ def test_evaluate_matches_naive_evaluation(ring):
         poly = FreePolynomial(ring, terms)
         assert evaluate(poly, alg, assignment) == \
             naive_evaluate(poly, alg, assignment)
+        value, rest = model.evaluate(poly, binding)
+        assert (value, rest.terms) == naive_model_evaluate(model, poly, binding)
+        leaves += len(rest.terms)
+    assert leaves > 40
     unbound = gptw_symbol({2, 4}, 2)
     with pytest.raises(UnboundSymbol):
         evaluate(FreePolynomial.monomial((atom_u(1), unbound), 1, ring), alg,
                  assignment)
+
+
+def prefix_products(model, poly, binding):
+    """The distinct nonempty prefixes of the words of ``poly`` whose shorter
+    prefix is nonzero in the model: one multiplication each."""
+    values, count = {(): {0: {0: model.algebra.ring.one()}}}, 0
+    for word in poly.terms:
+        for n in range(1, len(word) + 1):
+            shorter = values[word[:n - 1]]
+            if word[:n] not in values:
+                count += bool(shorter)
+                sym = word[n - 1]
+                values[word[:n]] = shorter and model.mul(
+                    shorter, model.generator(sym.i) if sym.kind == "u"
+                    else binding[sym])
+    return count
+
+
+def test_model_evaluate_multiplies_each_prefix_once(monkeypatch):
+    from looppres.presentation import (
+        Context, build_presentation, gptw_assignment, rewrite_chat)
+    cases = []
+    ctx = Context(cycle_complex(8))
+    cases.append((ctx, [build_presentation(ctx).relations[0].poly]))
+    ctx = Context(gnp_flag(7, 1))
+    cases.append((ctx, [rewrite_chat(ctx, j_set, i)
+                        for j_set in all_subsets(7) if len(j_set) > 1
+                        for i in j_set]))
+    for ctx, polys in cases:
+        model = ctx.model(ZZ)
+        binding = {sym: model.from_element(v)
+                   for sym, v in gptw_assignment(ctx).items()}
+        want = [prefix_products(model, poly, binding) for poly in polys]
+        real, calls = model.mul, []
+
+        def counting(x, y):
+            calls.append(1)
+            return real(x, y)
+        got = []
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "mul", counting)
+            for poly in polys:
+                del calls[:]
+                model.evaluate(poly, binding)
+                got.append(len(calls))
+        assert got == want
+        assert sum(want) < sum(map(len, (w for poly in polys
+                                         for w in poly.terms)))  # shared
+
+
+def test_evaluators_skip_symbols_after_a_zero_prefix():
+    # the symbols after a zero prefix, or one that leaves the model, are not
+    # looked up: an unbound one there raises nothing
+    alg = PCAlgebra(cycle_complex(5))
+    model = SquarefreeModel(alg)
+    zero, unbound = gptw_symbol({1, 2}, 1), gptw_symbol({1, 3}, 1)
+    assignment = {zero: commutator_value(alg, {2}, 1)}  # 1, 2 span an edge
+    binding = {zero: model.from_element(assignment[zero])}
+    assert assignment[zero].is_zero() and binding[zero] == {}
+    u1 = atom_u(1)
+    for word in ((zero, unbound), (u1, u1, unbound), (u1, zero, u1, unbound)):
+        poly = FreePolynomial.monomial(word, 1)
+        assert evaluate(poly, alg, assignment).is_zero()
+        value, rest = model.evaluate(poly, binding)
+        assert value == {} and rest.terms == (
+            {word: 1} if word[:2] == (u1, u1) else {})
+    for word in ((unbound,), (u1, unbound)):
+        poly = FreePolynomial.monomial(word, 1)
+        with pytest.raises(UnboundSymbol):
+            evaluate(poly, alg, assignment)
+        with pytest.raises(UnboundSymbol):
+            model.evaluate(poly, binding)
 
 
 @pytest.mark.parametrize("ring", [QQ, GF(2), GF(3), GF(5)], ids=repr)

@@ -18,7 +18,15 @@ from looppres.errors import (
     PreconditionViolated,
     VertexOutOfRange,
 )
-from looppres.exactlin import GF, QQ, ZZ, ExactMatrix, cokernel_invariants
+from looppres.exactlin import (
+    GF,
+    QQ,
+    ZZ,
+    ExactMatrix,
+    ModuleInvariants,
+    cokernel_invariants,
+    direct_sum,
+)
 from looppres.freealg import (
     FreePolynomial,
     atom_u,
@@ -328,6 +336,11 @@ def test_zgraded_merge_mechanism_on_block_matrix():
     # non-coprime (greedy coprime pairing would wrongly produce three)
     diag = ExactMatrix.from_rows([[6, 0, 0], [0, 10, 0], [0, 0, 15]])
     assert cokernel_invariants(diag).gen_count() == 2
+    # verify counts them without the merge: ranks plus non-unit factors
+    assert direct_sum([ModuleInvariants(rank=0, torsion=[6]),
+                       ModuleInvariants(rank=1, torsion=[10]),
+                       ModuleInvariants(rank=0, torsion=[15])]) == \
+        ModuleInvariants(rank=1, torsion=[30, 30])
 
 
 def test_merge_relations_sums_across_subsets():
@@ -403,6 +416,52 @@ def test_verify_counts_generators_by_elimination(monkeypatch):
     assert not checks["counts vs certificate"]
     assert all(ok for name, ok in checks.items()
                if name != "counts vs certificate")
+
+
+def test_verify_counts_relations_by_homology():
+    # the certificate's relation counts are filled in the loop that builds
+    # the relations, so a presentation edited to match them must still fail
+    # against H_1(K_J) from verify's own sweep
+    pres = build_presentation(PENTAGON, ZZ)
+    pres.relations.clear()
+    pres.counts_certificate.rel_count_by_degree.clear()
+    checks = {name: ok for name, ok, _ in
+              verify_presentation(PENTAGON, pres).checks}
+    assert [name for name, ok in checks.items() if not ok] == [
+        "counts vs certificate"]
+    k = clique_complex(8, [(1, 2), (2, 3), (3, 4), (1, 4),
+                           (5, 6), (6, 7), (7, 8), (5, 8)])
+    z = build_presentation(k, ZZ, grading="z")
+    z.relations.remove(next(r for r in z.relations if r.degree == 4))
+    z.counts_certificate.rel_count_by_degree[4] -= 1
+    checks = {name: ok for name, ok, _ in verify_presentation(k, z).checks}
+    assert [name for name, ok in checks.items() if not ok] == [
+        "counts vs certificate"]
+
+
+def test_verify_checks_generator_values_in_the_model(monkeypatch):
+    # a wrong value that the build and verify's own binding both read from
+    # commutator_value: check (1) compares with the model's commutator
+    real = presentation.commutator_value
+
+    def negating(algebra, prefix, i):
+        value = real(algebra, prefix, i)
+        return -value if (frozenset(prefix), i) == (frozenset({3}), 1) \
+            else value
+    with monkeypatch.context() as patch:
+        patch.setattr(presentation, "commutator_value", negating)
+        pres = build_presentation(PENTAGON, ZZ)
+        rows = check_rows(verify_presentation(PENTAGON, pres))
+    assert rows["generator values"] == (False, "9/10 match")
+    # values the model refuses are mismatches, reported and not raised
+    pres = build_presentation(PENTAGON, ZZ)
+    alg = pc_algebra(pres.context, ZZ)
+    pres.generators[0] = replace(pres.generators[0],
+                                 value=alg.element({(1, 3, 1): 1}))
+    pres.generators[1] = replace(
+        pres.generators[1], value=pc_algebra(HEXAGON, ZZ).generator(1))
+    rows = check_rows(verify_presentation(PENTAGON, pres))
+    assert rows["generator values"] == (False, "8/10 match")
 
 
 def _first_edge_of_shortest_path(k, j_set, source, target):

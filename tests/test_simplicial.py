@@ -78,11 +78,35 @@ def test_is_flag():
     assert not ok and witness == frozenset({1, 2, 3})
     ok, witness = is_flag(simplex(3))
     assert ok
-    # non-minimal clique failures still shrink to a minimal witness
+    # cliques are walked by size, so a hollow 4-clique fails on a triangle
     big = graph_complex(4, [(i, j) for i in range(1, 5)
                             for j in range(i + 1, 5)])
     ok, witness = is_flag(big)
     assert not ok and len(witness) == 3
+
+
+def test_is_flag_witness_is_minimal():
+    # the witness is a non-face whose (|w|-1)-subsets are all faces; random
+    # facets, half the time with the boundary of a simplex of 3 to 5 vertices
+    rng = random.Random(41)
+    failures = large = 0
+    for _ in range(300):
+        m = rng.randint(3, 7)
+        facets = [rng.sample(range(1, m + 1), rng.randint(1, min(m, 4)))
+                  for _ in range(rng.randint(2, 8))]
+        facets += [[v] for v in range(1, m + 1)]
+        if rng.random() < 0.5:
+            hollow = rng.sample(range(1, m + 1), rng.randint(3, min(m, 5)))
+            facets += [[v for v in hollow if v != w] for w in hollow]
+        k = SimplicialComplex(m, facets)
+        ok, witness = is_flag(k)
+        if ok:
+            continue
+        failures += 1
+        large += len(witness) > 3
+        assert len(witness) >= 3 and not k.has_face(witness)
+        assert all(k.has_face(witness - {v}) for v in witness)
+    assert failures > 100 and large > 10
 
 
 def test_full_subcomplex():
