@@ -25,10 +25,9 @@ disjoint supports f_O1 f_O2 = s(A,B) f_(O1|O2|X(A,B)): X(A,B) orients each
 non-edge {a<b}, a in A, b in B, from a to b, and s(A,B) is
 (-1)^#{a in A, b in B : a > b}.  ``SquarefreeModel`` multiplies with one OR
 and one sign per pair of terms; ``verify_presentation`` and the bar
-cycles' check (``torbar.verify_bar_cycle``) work in it.
-
-Free polynomials are evaluated, in k[K]^! or in the model, by one walk
-over their sorted words that keeps only the current word's prefix products.
+cycles' check (``torbar.verify_bar_cycle``) work in it.  Free polynomials
+are evaluated there and in k[K]^! by one walk over their sorted words that
+keeps only the current word's prefix products.
 
 Graded dimensions count the paths of the automaton of normal words, whose
 state is the set of letters that may still be appended to the word.
@@ -241,24 +240,25 @@ def evaluate(poly, algebra, assignment=None):
     bound in ``assignment`` (symbol -> PCElement) or UnboundSymbol is raised.
     Each distinct prefix is multiplied out once (``_word_values``).
     """
-    if poly.ring != algebra.ring:
-        raise RingMismatch("polynomial ring %r vs algebra ring %r"
-                           % (poly.ring, algebra.ring))
     acc = {}
-    for _, coeff, value in _word_values(poly, algebra.one(), PCElement.__mul__,
-                                        algebra.generator, assignment or {}):
+    for _, coeff, value in _word_values(poly, algebra, algebra.one(),
+                                        PCElement.__mul__, algebra.generator,
+                                        assignment or {}):
         for w, c in value.terms:
             acc[w] = acc.get(w, 0) + coeff * c
     return algebra._collect(acc)
 
 
-def _word_values(poly, one, mul, generator, binding):
-    """Yield (word, coefficient, value) per word of ``poly``: ``one`` times
-    ``generator(i)`` per u_i and ``binding[symbol]`` per composite.  Sorted,
-    the words that share a prefix are adjacent, so each distinct prefix is
-    multiplied out once and only the current word's are kept.  A false value
-    (zero, or None off the model) goes on unmultiplied, and the symbols after
-    it are not looked up."""
+def _word_values(poly, algebra, one, mul, generator, binding):
+    """Yield (word, coefficient, value) per word of ``poly``, a polynomial
+    over the ring of ``algebra``: ``one`` times ``generator(i)`` per u_i and
+    ``binding[symbol]`` per composite.  Sorted, the words that share a prefix
+    are adjacent, so each distinct prefix is multiplied out once and only the
+    current word's are kept.  A false value (zero, or None off the model)
+    goes on unmultiplied, and the symbols after it are not looked up."""
+    if poly.ring != algebra.ring:
+        raise RingMismatch("polynomial ring %r vs algebra ring %r"
+                           % (poly.ring, algebra.ring))
     terms, chain, values = poly.terms, (), [one]  # the value of chain[:n] at n
     for word in sorted(terms, key=word_sort_key) if len(terms) > 1 else terms:
         n, top = 0, min(len(chain), len(word))
@@ -402,17 +402,18 @@ class SquarefreeModel:
     def evaluate(self, poly, binding):
         """``evaluate`` with composite symbols bound to model elements; also
         returns the polynomial of the words that leave the model."""
-        if poly.ring != self.algebra.ring:
-            raise RingMismatch("polynomial ring %r vs model ring %r"
-                               % (poly.ring, self.algebra.ring))
-        value, rest = {}, {}
+        value, acc, rest = {}, {}, {}  # acc: plain + and *, reduced once
         for word, coeff, v in _word_values(
-                poly, {0: {0: self.algebra.ring.one()}}, self.mul,
-                self.generator, binding):
+                poly, self.algebra, {0: {0: self.algebra.ring.one()}},
+                self.mul, self.generator, binding):
             if v is None:
                 rest[word] = coeff
-            else:
-                self.accumulate(value, v, coeff)
+                continue
+            for support, terms in v.items():
+                row = acc.setdefault(support, {})
+                for o, c in terms.items():
+                    row[o] = row.get(o, 0) + coeff * c
+        self.accumulate(value, acc)
         return value, FreePolynomial._wrap(poly.ring, rest)
 
 

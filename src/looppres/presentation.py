@@ -484,8 +484,7 @@ def verify_presentation(k, presentation):
     (2) every rewrite_chat(J, i), |J| >= 2, evaluates to c(J\\i, u_i);
     (3) every relation polynomial evaluates to zero;
     (4) generator counts per J match the rank of H-tilde_0(K_J) by
-        elimination, relation counts gen H_1(K_J) (per |J|, of the direct
-        sum, when Z-graded);
+        elimination, relation counts gen H_1(K_J) (per |J| when Z-graded);
     (5) for every nonempty J the Tor strand of multidegree (-|J|, 2J),
         read by ``koszul_invariants``, matches H-tilde(K_J) in every degree;
     (6) every bar cycle lifted from a generating cycle of H-tilde_0,

@@ -12,6 +12,7 @@ from looppres.errors import (
     AlgebraMismatch,
     NotFlag,
     PreconditionViolated,
+    RingMismatch,
     UnboundSymbol,
 )
 from looppres.exactlin import GF, QQ, ZZ
@@ -236,6 +237,8 @@ def test_evaluate():
     bound = evaluate(FreePolynomial.generator(g), PENTAGON,
                      {g: commutator_value(PENTAGON, {3}, 1)})
     assert bound == val
+    with pytest.raises(RingMismatch):
+        evaluate(FreePolynomial.generator(atom_u(1), GF(2)), PENTAGON)
 
 
 def naive_evaluate(poly, algebra, assignment):
@@ -609,3 +612,5 @@ def test_model_evaluate_splits_off_words_that_leave_it():
     with pytest.raises(UnboundSymbol):
         model.evaluate(FreePolynomial.generator(gptw_symbol({2, 4}, 2)),
                        binding)
+    with pytest.raises(RingMismatch):
+        model.evaluate(FreePolynomial.generator(atom_u(1), QQ), binding)
