@@ -285,7 +285,7 @@ def test_evaluate_matches_naive_evaluation(ring):
     binding = {sym: model.from_element(v) for sym, v in assignment.items()}
     letters = [atom_u(v) for v in range(1, 6)] + list(assignment)
     zero = gptw_symbol({1, 2}, 1)
-    # a zero prefix, one that leaves the model and one zero only in the model
+    # (zero,) is zero in both; (u1, u1) is zero in k[K]^! and leaves the model
     prefixes = [(), (zero,), (atom_u(1), atom_u(1))]
     leaves = 0
     for _ in range(40):
@@ -300,7 +300,8 @@ def test_evaluate_matches_naive_evaluation(ring):
         assert evaluate(poly, alg, assignment) == \
             naive_evaluate(poly, alg, assignment)
         value, rest = model.evaluate(poly, binding)
-        assert (value, rest.terms) == naive_model_evaluate(model, poly, binding)
+        assert (value, rest.terms) == \
+            naive_model_evaluate(model, poly, binding)
         leaves += len(rest.terms)
     assert leaves > 40
     unbound = gptw_symbol({2, 4}, 2)
