@@ -78,6 +78,7 @@ from .simplicial import (
 from .torbar import (
     BarElement,
     bar_cycle,
+    bar_cycle_closed,
     bar_differential,
     dbar,
     dhat,

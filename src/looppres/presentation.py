@@ -61,7 +61,7 @@ from .simplicial import (
     reduced_homology_invariants,
     require_flag,
 )
-from .torbar import bar_cycle, koszul_invariants, verify_bar_cycle
+from .torbar import bar_cycle_closed, koszul_invariants
 
 
 class Context:
@@ -488,7 +488,7 @@ def verify_presentation(k, presentation):
     (5) for every nonempty J the Tor strand of multidegree (-|J|, 2J),
         read by ``koszul_invariants``, matches H-tilde(K_J) in every degree;
     (6) every bar cycle lifted from a generating cycle of H-tilde_0,
-        H-tilde_1 or H-tilde_2 of some K_J is closed.
+        H-tilde_1 or H-tilde_2 of some K_J is closed (``bar_cycle_closed``).
     (1)-(3) run in the squarefree model, symbols bound to the images of the
     generator values; words leaving it must vanish in k[K]^! apart.
     (4)-(6) read one sweep over J of the face index.  Failures are
@@ -554,8 +554,7 @@ def verify_presentation(k, presentation):
             if n < len(simp) and not simp[n].is_zero():
                 for kappa in ctx.homology(j, ring, n)[1]:
                     cycles_total += 1
-                    cycles_ok += verify_bar_cycle(bar_cycle(algebra, kappa),
-                                                  model)
+                    cycles_ok += bar_cycle_closed(kappa, model)
 
     gen_ok = Counter(g.j_set for g in presentation.generators) == h0
     rel_ok = Counter(rel.j_set if multi else rel.degree

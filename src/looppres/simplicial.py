@@ -16,10 +16,11 @@ its boundary.  The faces of K_J are then a mask test, the boundary of K_J is a
 set of sparse integer columns, and path components and graph distances are
 breadth-first searches on neighbor masks.  Every query about K_J reads it:
 components, betti numbers, homology invariants
-(``exactlin.column_homology_invariants``) and the cycles that
-``reduced_homology`` lifts from the same columns where the invariants are
-nonzero.  ``boundary_matrix`` and ``faces_within`` build K_J's dense matrices
-from the face list; the tests use them as an independent reference.
+(``exactlin.column_homology_invariants``) and, where they are nonzero, the
+cycles of ``reduced_homology``: H-tilde_0's from the components, the others
+lifted from the same columns.  ``boundary_matrix`` and ``faces_within``
+build K_J's dense matrices from the face list; the tests use them as an
+independent reference.
 """
 
 from __future__ import annotations
@@ -341,15 +342,21 @@ def reduced_homology(k, j, ring=ZZ, degree=1):
     ``degree`` counts face size n, matching the Koszul strand bookkeeping:
     degree n holds faces with n vertices, i.e. simplices of dimension n-1.
     Returns (ModuleInvariants, [SimplicialCycle, ...]) where the cycles are
-    the generator representatives (torsion generators first).  Where the
-    face index finds the homology nonzero, the cycles are lifted from its
-    columns of sizes degree-1, degree and degree+1, on the basis of the
-    faces of K_J with ``degree`` vertices in ``faces_of_size`` order.
+    the generator representatives (torsion generators first), where the face
+    index finds homology: u_min(C) - u_min(J) for each path component C of
+    K_J but min(J)'s in H-tilde_0, a basis over every ring; else lifted from
+    the index's columns of sizes degree-1, degree and degree+1, on the faces
+    of K_J with ``degree`` vertices in ``faces_of_size`` order.
     """
     j = frozenset(j)
     inv = reduced_homology_invariants(k, j, ring, degree)
     if inv.is_zero():
         return inv, []
+    if degree == 1:
+        first, *rest = [frozenset(c[:1]) for c in path_components(k, j)]
+        one, minus = ring.one(), ring.from_int(-1)
+        return inv, [SimplicialCycle(j=j, dimension=0, terms=(
+            (first, minus), (c, one))) for c in rest]
     low, mid, high = k.index.columns(j, (degree - 1, degree, degree + 1))
     inv = column_homology_with_representatives(low, mid, high, ring)
     basis = [k.faces_of_size(degree)[t] for t in mid]

@@ -18,12 +18,13 @@ tuple of vertices with multiplicity.  Two differentials act here:
 the reduced bar construction whose letters are evaluated nested commutators;
 ``verify_bar_cycle`` applies the bar differential in the squarefree model of
 k[K]^! (adjacent letters have disjoint supports) and checks the result
-vanishes.
+vanishes; ``bar_cycle_closed`` does both with the model's own letters.
 """
 
+from functools import partial
 from itertools import combinations, permutations
 
-from .errors import FaceOutsideJ, NotACycle
+from .errors import FaceOutsideJ, NotACycle, PreconditionViolated
 from .exactlin import (ZZ, column_homology_invariants,
                        column_homology_with_representatives)
 from .freealg import koszul_theta, ordered_splits
@@ -267,6 +268,27 @@ class BarElement:
         return " + ".join(bits)
 
 
+def _bar_terms(algebra, kappa, letter):
+    """(letters, coefficient) pairs of ``bar_cycle``'s formula, the letter
+    c(J_t, u_{i_t}) given by ``letter(J_t, i_t)``; NotACycle unless kappa is
+    a cycle of faces of K with dimension + 1 vertices each."""
+    k, ring = algebra.complex, algebra.ring
+    if not is_cycle(k, kappa, ring):
+        raise NotACycle("chain has nonzero boundary")
+    j_set = frozenset(kappa.j)
+    for face, lam in kappa.terms:
+        if len(face) != kappa.dimension + 1 or not k.has_face(face):
+            raise NotACycle("%s is not a %d-face of K"
+                            % (sorted(face), kappa.dimension))
+        base = lam if epsilon_sign(face, j_set) == 1 else ring.neg(lam)
+        for order in permutations(sorted(face)):
+            for blocks in ordered_splits(j_set - face, order):
+                theta_total = sum(koszul_theta(a, b)
+                                  for a, b in combinations(blocks, 2))
+                yield (tuple(letter(b, i) for b, i in zip(blocks, order)),
+                       base if theta_total % 2 == 0 else ring.neg(base))
+
+
 def bar_cycle(algebra, kappa):
     """The explicit bar-construction cycle attached to a simplicial cycle.
 
@@ -279,22 +301,27 @@ def bar_cycle(algebra, kappa):
         epsilon(I,J) lambda_I (-1)^{sum_{t1<t2} theta(J_{t1}, J_{t2})}
         [c(J_1,u_{i_1}) | ... | c(J_n,u_{i_n})].
     """
-    ring = algebra.ring
-    if not is_cycle(algebra.complex, kappa, ring):
-        raise NotACycle("chain has nonzero boundary")
-    j_set = frozenset(kappa.j)
     out = BarElement(algebra)
-    for face, lam in kappa.terms:
-        base = lam if epsilon_sign(face, j_set) == 1 else ring.neg(lam)
-        for order in permutations(sorted(face)):
-            for blocks in ordered_splits(j_set - face, order):
-                theta_total = sum(koszul_theta(a, b)
-                                  for a, b in combinations(blocks, 2))
-                letters = tuple(commutator_value(algebra, b, i)
-                                for b, i in zip(blocks, order))
-                out.add_term(letters, base if theta_total % 2 == 0
-                             else ring.neg(base))
+    for letters, coeff in _bar_terms(algebra, kappa,
+                                     partial(commutator_value, algebra)):
+        out.add_term(letters, coeff)
     return out
+
+
+def _bar_d(xs, coeff, model, tensor=None):
+    """d[x_1|...|x_n] on model letters as (letters, coeff) pairs; where the
+    supports of x_i and x_{i+1} meet, x_i-bar * x_{i+1} is taken on the
+    normal forms of ``tensor``, or refused if there is none."""
+    bars = []
+    for i in range(len(xs) - 1):  # a-bar = (-1)^(1+|support|) a
+        bars.append({s: t if s.bit_count() % 2 else {
+            o: -c for o, c in t.items()} for s, t in xs[i].items()})
+        merged = model.mul(bars[i], xs[i + 1])
+        if merged is None:
+            if tensor is None:
+                raise PreconditionViolated("adjacent letters meet")
+            merged = tensor[i].overline() * tensor[i + 1]
+        yield tuple(bars[:i]) + (merged,) + tuple(xs[i + 2:]), coeff
 
 
 def bar_differential(element, model):
@@ -308,20 +335,18 @@ def bar_differential(element, model):
     repeat no vertex, as in every ``bar_cycle``) and multiply there; a
     product whose supports meet, as in [u1|u1], is taken on normal forms.
     """
-    out = []
-    for tensor, coeff in element.terms.items():
-        if len(tensor) < 2:
-            continue  # d[a] = 0
-        xs, bars = [model.from_element(a) for a in tensor], []
-        for i in range(len(xs) - 1):  # a-bar = (-1)^(1+|support|) a
-            bars.append({s: t if s.bit_count() % 2 else {
-                o: -c for o, c in t.items()} for s, t in xs[i].items()})
-            merged = model.mul(bars[i], xs[i + 1])
-            if merged is None:
-                merged = tensor[i].overline() * tensor[i + 1]
-            out.append((tuple(bars[:i]) + (merged,) + tuple(xs[i + 2:]),
-                        coeff))
-    return out
+    return [d for tensor, coeff in element.terms.items() if len(tensor) > 1
+            for d in _bar_d([model.from_element(a) for a in tensor], coeff,
+                            model, tensor)]  # d[a] = 0
+
+
+def bar_cycle_closed(kappa, model):
+    """``verify_bar_cycle(bar_cycle(model.algebra, kappa), model)``, letters
+    read from the memoized ``model.commutator``; adjacent letters of a bar
+    cycle have disjoint supports, so supports that meet raise."""
+    return not bar_canonical([d for x in _bar_terms(
+        model.algebra, kappa, model.commutator) for d in _bar_d(*x, model)],
+        model)
 
 
 def _basis(x, model):

@@ -10,6 +10,7 @@ import pytest
 
 import looppres.presentation as presentation
 import looppres.simplicial as simplicial
+import looppres.torbar as torbar
 from corpus import gnp_flag, rp2_flag12
 from looppres.errors import (
     FaceOutsideJ,
@@ -760,6 +761,29 @@ def test_doubled_rewrite_coefficient_fails_soundness():
     rows = check_rows(verify_presentation(ctx, pres))
     assert rows["rewriting soundness"] == (False, "185/186 pairs (J,i) agree")
     assert rows["relations vanish"][0] and rows["generator values"][0]
+
+
+@pytest.mark.parametrize("k, detail", [(SQUARE, "2/3"), (PENTAGON, "10/11"),
+                                       (HEXAGON, "34/35")],
+                         ids=["square", "pentagon", "hexagon"])
+def test_bar_cycles_without_the_koszul_sign_fail_verify(monkeypatch, k,
+                                                        detail):
+    # theta(J_t1, J_t2) = 0 drops the Koszul sign of the bar-cycle formula:
+    # the one cycle of bar degree 2 opens, those of H-tilde_0 stay closed,
+    # and both bar-cycle checks agree on every generating cycle
+    monkeypatch.setattr(torbar, "koszul_theta", lambda a, b: 0)
+    ctx = Context(k)
+    rows = check_rows(verify_presentation(ctx, build_presentation(ctx, ZZ)))
+    assert rows["bar cycles closed"] == (False, detail + " generating cycles")
+    assert all(ok for name, (ok, _) in rows.items()
+               if name != "bar cycles closed")
+    alg, model = ctx.algebra(ZZ), ctx.model(ZZ)
+    for j_set in all_subsets(k.m)[1:]:
+        for n in (1, 2, 3):
+            for kappa in ctx.homology(j_set, ZZ, n)[1]:
+                assert torbar.bar_cycle_closed(kappa, model) == \
+                    torbar.verify_bar_cycle(torbar.bar_cycle(alg, kappa),
+                                            model) == (n == 1)
 
 
 @pytest.mark.parametrize("ring", [ZZ, GF(3)], ids=repr)

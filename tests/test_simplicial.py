@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from looppres.exactlin import (
     ZZ,
     ExactMatrix,
     chain_homology_invariants,
+    column_invariant_factors,
     integer_columns,
     module_gen_rel,
 )
@@ -255,10 +257,30 @@ def test_homology_invariants_match_cycle_homology():
         for j in all_subsets(k.m):
             for ring in (ZZ, QQ, GF(2), GF(3)):
                 for n in range(4):
-                    a, _ = reduced_homology(k, j, ring, degree=n)
+                    a, cycles = reduced_homology(k, j, ring, degree=n)
                     b = reduced_homology_invariants(k, j, ring, degree=n)
                     assert (b.rank, b.torsion, b.generators) == (
                         a.rank, a.torsion, []), (k, sorted(j), ring, n)
+                    if n == 1:
+                        assert_generate_h0(k, j, ring, a, cycles)
+
+
+def assert_generate_h0(k, j, ring, inv, cycles):
+    """The H-tilde_0 cycles are cycles, one per unit of rank, and their
+    coefficient sums over the path components of K_J span the lattice of
+    sum-zero vectors: they generate H-tilde_0(K_J; ring)."""
+    assert all(is_cycle(k, kappa, ring) for kappa in cycles)
+    assert len(cycles) == inv.rank
+    comps = [set(c) for c in path_components(k, j)]
+    sums = [[sum(c for f, c in kappa.terms if f <= comp) for comp in comps]
+            for kappa in cycles]
+    assert all(not ring.settle({0: sum(row)}) for row in sums)
+    # less min(J)'s component, the sums are a square matrix with unit det
+    factors = column_invariant_factors(
+        {t: {i: int(x) for i, x in enumerate(row[1:]) if x}
+         for t, row in enumerate(sums)})
+    assert len(factors) == len(sums) == max(len(comps) - 1, 0)
+    assert ring.is_unit(ring.from_int(math.prod(factors))), (sorted(j), ring)
 
 
 def test_rp2_flag12_counts_through_invariants():

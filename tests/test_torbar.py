@@ -8,7 +8,7 @@ from looppres.exactlin import GF, QQ, ZZ
 from looppres.freealg import koszul_theta, ordered_splits
 from looppres.pcalg import PCAlgebra, PCElement, SquarefreeModel, \
     commutator_value
-from looppres.presentation import Context
+from looppres.presentation import Context, relation_for_cycle
 from looppres.simplicial import (
     SimplicialCycle,
     all_subsets,
@@ -27,6 +27,7 @@ from looppres.torbar import (
     BarElement,
     alpha_from_face,
     bar_cycle,
+    bar_cycle_closed,
     bar_differential,
     dbar,
     dbar_element,
@@ -322,6 +323,25 @@ def test_bar_cycle_rejects_non_cycles():
         bar_cycle(alg, chain)
 
 
+def test_bar_cycles_refuse_faces_outside_k():
+    # {1,3} + {3,5} - {1,5} is closed in the simplex on J = {1,3,5}, but no
+    # edge of it is in the pentagon; a chain of vertices called dimension 1
+    # is refused too
+    model = Context(PENTAGON).model(ZZ)
+    triangle = SimplicialCycle(j=frozenset({1, 3, 5}), dimension=1, terms=(
+        (frozenset({1, 3}), 1), (frozenset({3, 5}), 1),
+        (frozenset({1, 5}), -1)))
+    points = SimplicialCycle(j=frozenset({1, 3}), dimension=1, terms=(
+        (frozenset({1}), -1), (frozenset({3}), 1)))
+    for chain in (triangle, points):
+        with pytest.raises(NotACycle):
+            bar_cycle(model.algebra, chain)
+        with pytest.raises(NotACycle):
+            bar_cycle_closed(chain, model)
+    with pytest.raises(NotACycle, match=r"edge \[1, 3\] not in K"):
+        relation_for_cycle(PENTAGON, triangle)
+
+
 def test_bar_differential_examples():
     alg = PCAlgebra(PENTAGON)
     u1 = alg.generator(1)
@@ -376,7 +396,8 @@ def normal_form_closed(cyc):
 @pytest.mark.parametrize("ring", [ZZ, GF(2), GF(3), QQ], ids=str)
 def test_bar_cycle_model_check_agrees_with_normal_forms(ring):
     # every generating cycle of H-tilde_0, H-tilde_1 and H-tilde_2 of every
-    # K_J closes in the squarefree model and on normal forms; a cycle of bar
+    # K_J closes in the squarefree model, with letters from normal forms or
+    # from the model's own commutators, and on normal forms; a cycle of bar
     # degree >= 2 opens in both once one tensor is dropped or, but over F2
     # where -1 = 1, has its sign flipped
     complexes = [PENTAGON, octahedron()] + [gnp_flag(7, g, p=0.4)
@@ -390,6 +411,8 @@ def test_bar_cycle_model_check_agrees_with_normal_forms(ring):
                 for kappa in ctx.homology(j_set, ring, n)[1]:
                     cyc = bar_cycle(alg, kappa)
                     assert verify_bar_cycle(cyc, model), (k, sorted(j_set))
+                    assert bar_cycle_closed(kappa, model) == \
+                        verify_bar_cycle(cyc, model)
                     assert normal_form_closed(cyc)
                     seen[n] += 1
                     if n == 1:

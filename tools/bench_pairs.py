@@ -1,7 +1,8 @@
 """Compare two checkouts of looppres end to end, in alternating pairs.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --seeds 1601-1610 \\
-        --out BENCH_n.json [--workloads presentation,verify,survey] [--rp2-runs 3]
+        --out BENCH_n.json [--workloads presentation,verify,survey] \\
+        [--rp2-runs 3] [--verify-runs 3]
 
 Each checkout is a clean copy of the tree (``git archive``), not a worktree.
 For every seed and workload, ``perfbench/run.py --trace 0`` runs once in each
@@ -15,11 +16,14 @@ median gap against the parent's IQR.
 With ``--rp2-runs N`` it also times ``presentation --json`` on the flag RP^2
 over Z, N fresh interpreters a side, alternating: CPU time of the build and of
 the emit as that side's ``cli.cmd_presentation`` does it, ``ru_maxrss`` after
-each stage, and the sha256 of the text.  The results file is rewritten after
-every pair.
+each stage, and the sha256 of the text.  With ``--verify-runs N`` it runs the
+CLI ``verify --json`` on the 10-gon, N fresh interpreters a side, alternating:
+the child's CPU time (user + system), its ``ru_maxrss`` and the sha256 of its
+stdout.  The results file is rewritten after every pair.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -27,6 +31,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 
 METRICS = ("setup_s", "ref_cpu_s", "peak_rss_mb")
 
@@ -96,6 +101,23 @@ def run_rp2(root):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def run_verify(root, path):
+    """One ``looppres.cli verify --json`` child on ``path``, timed by wait4."""
+    clean(root)
+    env = dict(os.environ, PYTHONHASHSEED="0",
+               PYTHONPATH=os.path.join(root, "src"))
+    with subprocess.Popen(
+            [sys.executable, "-m", "looppres.cli", "verify", "--json", path],
+            cwd=root, env=env, stdout=subprocess.PIPE) as proc:
+        out = proc.stdout.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    return {"cpu_s": round(usage.ru_utime + usage.ru_stime, 2),
+            "peak_rss_mb": round(usage.ru_maxrss / 1024),
+            "exit": proc.returncode,
+            "sha256": hashlib.sha256(out).hexdigest()}
+
+
 def summary(runs):
     q1, _, q3 = statistics.quantiles(runs, n=4)
     med = statistics.median(runs)
@@ -127,6 +149,7 @@ def main(argv=None):
     p.add_argument("--seeds", type=seed_list, required=True)
     p.add_argument("--workloads", default="presentation,verify,survey")
     p.add_argument("--rp2-runs", type=int, default=0)
+    p.add_argument("--verify-runs", type=int, default=0)
     p.add_argument("--out", required=True)
     args = p.parse_args(argv)
     roots = {"parent": os.path.abspath(args.parent),
@@ -136,7 +159,7 @@ def main(argv=None):
                                             platform.python_version()),
         "seeds": args.seeds,
         "first_side": {str(s): order(s)[0] for s in args.seeds},
-        "end_to_end": {}, "flag_rp2": {}}
+        "end_to_end": {}, "flag_rp2": {}, "verify_10gon": {}}
     raw = {w: {"parent": [], "change": []}
            for w in args.workloads.split(",")}
 
@@ -173,6 +196,23 @@ def main(argv=None):
             print("flag_rp2", side, json.dumps(rp2[side][-1]), flush=True)
         report["flag_rp2"] = rp2
         save()
+    if args.verify_runs:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "10gon.json")
+            with open(path, "w") as fh:  # the 10-gon of CI's verify step
+                json.dump({"m": 10, "facets": [[i, i + 1] for i in range(
+                    1, 10)] + [[1, 10]]}, fh)
+            runs = {"parent": [], "change": []}
+            for n in range(args.verify_runs):
+                for side in order(n + 1):
+                    runs[side].append(run_verify(roots[side], path))
+                    print("verify_10gon", side, json.dumps(runs[side][-1]),
+                          flush=True)
+                report["verify_10gon"] = {"runs": runs, **{
+                    m: compare(*([r[m] for r in runs[side]]
+                                 for side in ("parent", "change")))
+                    for m in ("cpu_s", "peak_rss_mb") if n}}
+                save()
     return 0
 
 
