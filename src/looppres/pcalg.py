@@ -59,8 +59,7 @@ class PCAlgebra:
         self.m = complex_.m
         self.adjacent = complex_.adjacency
         self.letters = ["u%d" % v for v in range(self.m + 1)]  # for render
-        self._gen_cache = {}
-        self._cvalue_cache = {}
+        self._cvalue_cache = {}  # terms only: an element points back here
 
     # -- normal form ------------------------------------------------------
     def normalize(self, word):
@@ -103,9 +102,7 @@ class PCAlgebra:
         return PCElement(self, (((), self.ring.one()),))
 
     def generator(self, i):
-        if i not in self._gen_cache:
-            self._gen_cache[i] = self.element({(i,): 1})
-        return self._gen_cache[i]
+        return self.element({(i,): 1})
 
     def element(self, word_to_coeff):
         """Build an element from a raw {word: coefficient} mapping."""
@@ -287,7 +284,7 @@ def commutator_value(algebra, prefix, i):
     key = (frozenset(prefix), i)
     cached = algebra._cvalue_cache.get(key)
     if cached is not None:
-        return cached
+        return PCElement(algebra, cached)
     if key[0]:
         a = min(key[0])
         inner = commutator_value(algebra, key[0] - {a}, i)
@@ -296,7 +293,7 @@ def commutator_value(algebra, prefix, i):
         value = left - right if len(key[0]) % 2 == 0 else left + right
     else:
         value = algebra.generator(i)
-    algebra._cvalue_cache[key] = value
+    algebra._cvalue_cache[key] = value.terms
     return value
 
 

@@ -55,13 +55,14 @@ from .freealg import (
 from .pcalg import PCAlgebra, SquarefreeModel, commutator_value, evaluate
 from .simplicial import (
     SimplicialCycle,
+    _mask,
     all_subsets,
     is_cycle,
     reduced_homology,
     reduced_homology_invariants,
     require_flag,
 )
-from .torbar import bar_cycle_closed, koszul_invariants
+from .torbar import bar_cycle_closed, epsilon_sign, koszul_invariants
 
 
 class Context:
@@ -124,10 +125,6 @@ class GptwGenerator:
         return len(self.j_set)
 
 
-def _subset_mask(j_set):
-    return sum(1 << (v - 1) for v in j_set)
-
-
 def gptw_generators(k, ring=ZZ):
     """All generators, ordered by (|J|, J bitmask, i); values in k[K]^!."""
     ctx = _context(k)
@@ -147,7 +144,7 @@ def gptw_generators(k, ring=ZZ):
             out.append(GptwGenerator(j_set=j_set, i=i,
                                      symbol=gptw_symbol(j_set, i),
                                      value=value))
-    out.sort(key=lambda g: (len(g.j_set), _subset_mask(g.j_set), g.i))
+    out.sort(key=lambda g: (len(g.j_set), _mask(g.j_set), g.i))
     return out
 
 
@@ -330,9 +327,7 @@ def relation_for_cycle(k, kappa, ring=ZZ, normalize_sign=True):
         i, j = sorted(face)
         if not ctx.complex.has_face(face):
             raise NotACycle("edge %s not in K" % sorted(face))
-        eps = (-1) ** (sum(1 for v in j_set if v < i)
-                       + sum(1 for v in j_set if v < j))
-        base = ring.mul(lam, ring.from_int(eps))
+        base = ring.mul(lam, ring.from_int(epsilon_sign(face, j_set)))
         edge_sum = {}
         for a_set, b_set in ordered_splits(j_set - face, (i, j)):
             odd = (koszul_theta(a_set, b_set) + len(a_set)) % 2
@@ -359,7 +354,8 @@ def relation_for_cycle(k, kappa, ring=ZZ, normalize_sign=True):
 class PresentationCertificate:
     """Minimal counts: b-tilde_0(K_J) and the generators per degree, read
     off the generator list (one generator per component of K_J other than
-    max(J)'s), and gen H_1(K_J) and the relations per degree from homology.
+    max(J)'s), gen H_1(K_J) from homology, and the relations per degree off
+    the relation list (one per merged generating cycle).
     ``verify_presentation`` checks the generators against H-tilde_0 and the
     relations against H_1 by elimination."""
 
@@ -420,14 +416,11 @@ def build_presentation(k, ring=ZZ, grading="multi"):
         diag = ExactMatrix.zeros(size, size, ring)
         for t, (_, _, factor) in enumerate(entries):
             diag.data[t][t] = factor
-        merged = cokernel_invariants(diag)
-        n = len(entries[0][0])
-        cert.rel_count_by_degree[n] = \
-            cert.rel_count_by_degree.get(n, 0) + merged.gen_count()
-        for vec in merged.generators:
+        for vec in cokernel_invariants(diag).generators:
             relations.append(_merge_relations(ctx, ring, entries, vec))
     relations.sort(key=lambda r: (r.degree,
-                                  sorted(_subset_mask(j) for j, _ in r.parts)))
+                                  sorted(_mask(j) for j, _ in r.parts)))
+    cert.rel_count_by_degree = dict(Counter(r.degree for r in relations))
     return Presentation(complex=ctx.complex, ring=ring, grading=grading,
                         generators=generators, relations=relations,
                         counts_certificate=cert, context=ctx)
@@ -444,7 +437,7 @@ def _merge_relations(k, ring, entries, vec):
         for face, lam in kappa.terms:
             acc[face] = acc.get(face, 0) + coeff * lam
     rels = []
-    for j_set in sorted(by_j, key=_subset_mask):
+    for j_set in sorted(by_j, key=_mask):
         kappa = SimplicialCycle(j=j_set, dimension=1, terms=tuple(sorted(
             ring.settle(by_j[j_set]).items(), key=lambda t: sorted(t[0]))))
         rels.append(relation_for_cycle(k, kappa, ring, normalize_sign=False))
@@ -659,13 +652,10 @@ def presentation_head(presentation):
         "grading": presentation.grading,
         "generators": gens,
         "certificate": {
-            "b0_by_J": [{"J": sorted(j), "b0": v}
-                        for j, v in sorted(cert.b0_by_j.items(),
-                                           key=lambda t: (_subset_mask(t[0])))],
-            "h1_gens_by_J": [{"J": sorted(j), "gens": v}
-                             for j, v in sorted(cert.h1_gens_by_j.items(),
-                                                key=lambda t:
-                                                (_subset_mask(t[0])))],
+            "b0_by_J": [{"J": sorted(j), "b0": cert.b0_by_j[j]}
+                        for j in sorted(cert.b0_by_j, key=_mask)],
+            "h1_gens_by_J": [{"J": sorted(j), "gens": cert.h1_gens_by_j[j]}
+                             for j in sorted(cert.h1_gens_by_j, key=_mask)],
             "generators_by_degree": {str(n): v for n, v in
                                      sorted(cert.gen_count_by_degree.items())},
             "relations_by_degree": {str(n): v for n, v in

@@ -1,7 +1,10 @@
 """Simplicial complexes on a vertex set [m] = {1, ..., m}.
 
 Faces are kept as frozensets of 1-indexed vertices, closed downward from the
-facet list at construction.  All per-subset operations (full subcomplexes,
+facet list at construction.  ``SimplicialComplex`` is the one filter down to
+the maximal faces, so ``clique_complex`` and ``full_subcomplex`` hand it every
+face they find; ``_cliques`` is the one clique walk, which ``is_flag`` and
+``clique_complex`` share.  All per-subset operations (full subcomplexes,
 path components, reduced homology of K_J) take the ambient complex plus a
 vertex subset J, so nothing is ever relabeled behind the caller's back.
 
@@ -63,7 +66,7 @@ class SimplicialComplex:
             cleaned.append(fs)
         maximal = []
         for f in sorted(set(cleaned), key=lambda s: (-len(s), sorted(s))):
-            if not any(f < g or f == g for g in maximal):
+            if not any(f <= g for g in maximal):
                 maximal.append(f)
         covered = set().union(*maximal) if maximal else set()
         missing = set(range(1, m + 1)) - covered
@@ -154,28 +157,34 @@ def _close_down(face, acc):
 # flagness
 # ---------------------------------------------------------------------------
 
+def _cliques(m, adjacency):
+    """The cliques of the graph on [m] with neighbor sets ``adjacency``, by
+    size: each level extends the cliques of the last, in order, by every
+    common neighbor above their largest vertex, in increasing order."""
+    level = [frozenset([v]) for v in range(1, m + 1)]
+    while level:
+        yield from level
+        nxt = []
+        for c in level:
+            top = max(c)
+            common = adjacency[top].intersection(*(adjacency[v] for v in c))
+            nxt.extend(c | {v} for v in sorted(common) if v > top)
+        level = nxt
+
+
 def is_flag(k):
     """True if every minimal non-face has two vertices.
 
     On failure also returns one minimal non-face of size >= 3 as a witness:
     (False, witness).  Equivalent test: K is the clique complex of its own
-    1-skeleton, so we walk cliques of the adjacency graph, by size, and look
-    for one that is not a face.  Every smaller clique was a face one level
-    earlier, so the first clique that is not is a minimal non-face.
+    1-skeleton, so we walk the cliques of the adjacency graph by size and
+    look for one that is not a face.  Every smaller clique was a face one
+    level earlier, so the first clique that is not is a minimal non-face:
+    of the smallest size, the least by sorted vertex tuple.
     """
-    adj = k.adjacency
-    cliques = [frozenset([i, j]) for i in k.vertices() for j in adj[i] if i < j]
-    while cliques:
-        nxt = []
-        for c in cliques:
-            top = max(c)
-            for v in sorted(frozenset.intersection(*(adj[v] for v in c))):
-                if v > top:
-                    cand = c | {v}
-                    if not k.has_face(cand):
-                        return False, cand
-                    nxt.append(cand)
-        cliques = nxt
+    for c in _cliques(k.m, k.adjacency):
+        if len(c) > 2 and not k.has_face(c):
+            return False, c
     return True, None
 
 
@@ -195,29 +204,21 @@ def full_subcomplex(k, j):
 
     Internally the vertices are renumbered 1..|J|; ``vertex_labels`` maps the
     new index back to the original label, and ``facets_original_labels()``
-    reports faces in the ambient numbering.
+    reports faces in the ambient numbering.  VertexOutOfRange unless J lies
+    in [m].
     """
     j = frozenset(j)
+    k.index.mask(j)
     labels = sorted(j)
     index = {v: i + 1 for i, v in enumerate(labels)}
-    faces = [f for f in k.faces() if f <= j]
-    maximal = [f for f in faces if not any(f < g for g in faces)]
-    sub = SimplicialComplex(len(labels),
-                            [[index[v] for v in f] for f in maximal if f],
+    sub = SimplicialComplex(len(labels), [[index[v] for v in f]
+                                          for f in k.faces() if f and f <= j],
                             max_m=max(DEFAULT_MAX_M, k.m))
     sub.vertex_labels = tuple(labels)
+    facets = sub.facets  # a closure over sub would be a cycle only gc frees
     sub.facets_original_labels = lambda: [
-        sorted(sub.vertex_labels[v - 1] for v in f) for f in sub.facets]
+        sorted(labels[v - 1] for v in f) for f in facets]
     return sub
-
-
-def _vertex_subset(k, j):
-    """J as a frozenset, refused with VertexOutOfRange unless J lies in [m]."""
-    j = frozenset(j)
-    for v in j:
-        if not 1 <= v <= k.m:
-            raise VertexOutOfRange("vertex %r not in [1..%d]" % (v, k.m))
-    return j
 
 
 def _mask(vertices):
@@ -262,7 +263,9 @@ def _components(neighbors, jmask):
 
 
 def faces_within(k, j, size):
-    j = _vertex_subset(k, j)
+    """K_J's faces of ``size`` vertices; VertexOutOfRange unless J in [m]."""
+    k.index.mask(j)
+    j = frozenset(j)
     return [f for f in k.faces_of_size(size) if f <= j]
 
 
@@ -452,12 +455,9 @@ class FaceIndex:
 def reduced_euler_characteristic(k, j):
     """chi-tilde(K_J), with chi-tilde of the empty complex = -1;
     VertexOutOfRange unless J lies in [m]."""
-    j = _vertex_subset(k, j)
-    total = 0
-    for f in k.faces():
-        if f <= j:
-            total += -1 if len(f) % 2 == 0 else 1
-    return total  # equals -sum_{faces} (-1)^{|face|}, empty face included
+    out = ~k.index.mask(j)  # -sum of (-1)^{|face|}, empty face included
+    return sum((1 if n % 2 else -1) * sum(not f & out for f in masks)
+               for n, masks in enumerate(k.index.masks))
 
 
 # ---------------------------------------------------------------------------
@@ -543,20 +543,7 @@ def clique_complex(m, edges):
     for a, b in edges:
         adj[a].add(b)
         adj[b].add(a)
-    cliques = [frozenset([i]) for i in range(1, m + 1)]
-    out = list(cliques)
-    while cliques:
-        nxt = []
-        for c in cliques:
-            common = set(range(max(c) + 1, m + 1))
-            for v in c:
-                common &= adj[v]
-            for v in sorted(common):
-                nxt.append(c | {v})
-        out.extend(nxt)
-        cliques = nxt
-    maximal = [f for f in out if not any(f < g for g in out)]
-    return SimplicialComplex(m, maximal)
+    return SimplicialComplex(m, _cliques(m, adj))
 
 
 def octahedron():

@@ -318,6 +318,54 @@ def test_verify_hexagon(tmp_path, capsys):
     assert "verification passed" in out
 
 
+# malformed or borderline inputs: wrong JSON types, floats, bools, nested
+# lists, empty or duplicate facets, ghost and out-of-range vertices, negative
+# or huge m, a non-flag triangle, and text that is no JSON object at all
+FUZZ_INPUTS = [json.dumps(payload) for payload in (
+    [], "facets", None, {"facets": 5}, {"facets": {"1": 2}}, {"facets": [1, 2]},
+    {"facets": [[1.0, 2]]}, {"facets": [[True, 2]]}, {"facets": [[[1], 2]]},
+    {"facets": [["1", 2]]}, {"facets": []}, {"facets": [[]]},
+    {"m": 0, "facets": []}, {"m": 1, "facets": [[1]]},
+    {"facets": [[1, 2], [2, 1], [1, 2]]}, {"m": 4, "facets": [[1, 2], [2, 3]]},
+    {"facets": [[0, 1]]}, {"facets": [[-1, 2]]}, {"m": 2, "facets": [[1, 5]]},
+    {"facets": [[10 ** 20]]}, {"m": -3, "facets": []},
+    {"m": 10 ** 12, "facets": [[1]]}, {"m": 1.5, "facets": [[1]]},
+    {"m": True, "facets": [[1]]}, {"m": None, "facets": [[1, 2]]},
+    {"facets": [[1, 2, 3]]}, {"facets": [[1, 2], [2, 3], [1, 3]]})] + [
+    "", "{", "[1,", "NaN", "1e400"]
+ODD_RINGS = ["F1", "F4", "F", "F0", "F-3", "ZZ", "F2305843009213693951"]
+
+
+def test_malformed_inputs_exit_cleanly(tmp_path, capsys):
+    # seeded: every input under every command, four times with random
+    # options, ends in exit 0, 2 or 3 and prints no traceback; argparse's
+    # SystemExit(2) counts as exit 2
+    rng = random.Random(2306)
+    codes = set()
+    for n, text in enumerate(FUZZ_INPUTS):
+        path = tmp_path / ("in%d.json" % n)
+        path.write_text(text)
+        for command in ["analyze", "presentation", "homotopy", "verify",
+                        "hilbert"]:
+            for _ in range(4):
+                ring = rng.choice(["Z", "Q", "F2", "F3"] if rng.random() < 0.75
+                                  else ODD_RINGS)
+                argv = [command, str(path), "--ring", ring,
+                        "--trunc", rng.choice("01")]
+                argv += [flag for flag in ("--json", "--skeleton-clique")
+                         if rng.random() < 0.5]
+                argv += ["--grading", "z"] if rng.random() < 0.5 else []
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                err = capsys.readouterr().err
+                assert code in (0, 2, 3) and "Traceback" not in err, (
+                    text, argv, code, err)
+                codes.add(code)
+    assert codes == {0, 2, 3}
+
+
 def test_max_m_env(monkeypatch, pentagon_file, capsys):
     monkeypatch.setenv("LOOPPRES_MAX_M", "4")
     assert main(["analyze", pentagon_file]) == 2  # m=5 over the cap

@@ -5,6 +5,7 @@ import sys
 import threading
 import weakref
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -33,6 +34,7 @@ from looppres.freealg import (
     atom_u,
     gptw_symbol,
     graded_commutator,
+    overline,
 )
 from looppres.pcalg import commutator_value, evaluate
 from looppres.presentation import (
@@ -610,22 +612,30 @@ def test_concurrent_builds_of_one_complex():
 
 
 def test_dropped_complex_is_collected():
-    # the algebras and the rewrite memo live in the context, so nothing
-    # process-wide keeps a complex alive once its caller lets go of the
-    # complex, its context and the presentation built in that context
-    k = cycle_complex(6)
-    ctx = Context(k)
-    for ring in (ZZ, GF(3)):
-        assert pc_algebra(ctx, ring) is pc_algebra(ctx, ring)
-    assert pc_algebra(ctx, ZZ) is not pc_algebra(ctx, GF(3))
-    pres = build_presentation(ctx, ZZ)
-    assert pres.context is ctx
-    report = verify_presentation(k, pres)
-    assert report.ok
-    refs = [weakref.ref(obj) for obj in (k, ctx, pres)]
-    del k, ctx, pres, report
-    gc.collect()
-    assert all(ref() is None for ref in refs)
+    # the algebras and the rewrite memo live in the context, and nothing
+    # points back at the algebra or a complex that holds it, so reference
+    # counting alone frees the complex, its context and the presentation
+    # built in that context once the caller lets go of them, and a dropped
+    # full subcomplex too: the cycle collector stays off throughout
+    gc.disable()
+    try:
+        k = cycle_complex(6)
+        ctx = Context(k)
+        for ring in (ZZ, GF(3)):
+            assert pc_algebra(ctx, ring) is pc_algebra(ctx, ring)
+        assert pc_algebra(ctx, ZZ) is not pc_algebra(ctx, GF(3))
+        pres = build_presentation(ctx, ZZ)
+        assert pres.context is ctx
+        report = verify_presentation(k, pres)
+        assert report.ok
+        sub = simplicial.full_subcomplex(k, {1, 2, 4})
+        assert sub.facets_original_labels() == [[4], [1, 2]]
+        refs = [weakref.ref(obj) for obj in
+                (k, ctx, pres, pc_algebra(ctx, GF(3)), sub)]
+        del k, ctx, pres, report, sub
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
 
 
 def test_racing_threads_share_one_algebra():
@@ -653,9 +663,11 @@ def test_racing_threads_share_one_algebra():
 
 @pytest.mark.parametrize("j_set", [{1, 3, 9}, {0, 1, 3}])
 def test_subset_outside_vertex_range_is_refused(j_set):
-    # J must lie in [m]; before, the first four raised a bare KeyError and
-    # the homology calls silently answered for J minus the stray vertex
+    # J must lie in [m]; before, the first four raised a bare KeyError, the
+    # homology calls silently answered for J minus the stray vertex, and
+    # full_subcomplex named a relabelled vertex as a ghost
     calls = [
+        lambda: simplicial.full_subcomplex(PENTAGON, j_set),
         lambda: rewrite_chat(PENTAGON, j_set, 1),
         lambda: theta_set(PENTAGON, j_set),
         lambda: reduced_betti0(PENTAGON, j_set),
@@ -784,6 +796,51 @@ def test_bar_cycles_without_the_koszul_sign_fail_verify(monkeypatch, k,
                 assert torbar.bar_cycle_closed(kappa, model) == \
                     torbar.verify_bar_cycle(torbar.bar_cycle(alg, kappa),
                                             model) == (n == 1)
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(2), GF(3), QQ], ids=repr)
+def test_relation_is_the_bar_differential_of_its_bar_cycle(ring):
+    # the paper's route from Tor_2 to relations: the relation of a generating
+    # 1-cycle is d of its bar cycle, the sum of c * overline(x) * y over the
+    # terms c [x|y], each letter c(B, u_i) rewritten in the generators
+    cycles = 0
+    for k in (PENTAGON, HEXAGON, octahedron(),
+              *(gnp_flag(7, seed) for seed in (1, 2, 3))):
+        ctx = Context(k)
+
+        def letter(b_set, i):
+            return rewrite_chat(ctx, b_set | {i}, i).convert_ring(ring)
+
+        for j_set in all_subsets(k.m):
+            for kappa in ctx.homology(j_set, ring, 2)[1]:
+                d = FreePolynomial.zero(ring)
+                for (x, y), c in torbar._bar_terms(ctx.algebra(ring), kappa,
+                                                   letter):
+                    d = d + (overline(x) * y).scale(c)
+                assert d == relation_for_cycle(ctx, kappa, ring,
+                                               normalize_sign=False).poly
+                cycles += 1
+    assert cycles == 37
+
+
+@pytest.mark.parametrize("k", [PENTAGON, HEXAGON], ids=["pentagon", "hexagon"])
+def test_halved_cycle_over_q_gives_half_the_relation(k):
+    # over Q a generating cycle may carry denominators: half the cycle gives
+    # half the relation, its bar cycle is closed, and the presentation with
+    # the halved relation in place passes all six checks
+    ctx = Context(k)
+    pres = build_presentation(ctx, QQ)
+    (rel,) = pres.relations
+    ((_, kappa),) = rel.parts
+    half = SimplicialCycle(j=kappa.j, dimension=1, terms=tuple(
+        (face, Fraction(c) / 2) for face, c in kappa.terms))
+    halved = relation_for_cycle(ctx, half, QQ)
+    assert halved.poly == rel.poly.scale(Fraction(1, 2))
+    assert {c.denominator for c in halved.poly.terms.values()} == {2}
+    assert torbar.bar_cycle_closed(half, ctx.model(QQ))
+    pres.relations[0] = halved
+    rows = check_rows(verify_presentation(ctx, pres))
+    assert len(rows) == 6 and all(ok for ok, _ in rows.values()), rows
 
 
 @pytest.mark.parametrize("ring", [ZZ, GF(3)], ids=repr)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -84,7 +85,12 @@ def test_is_flag():
     big = graph_complex(4, [(i, j) for i in range(1, 5)
                             for j in range(i + 1, 5)])
     ok, witness = is_flag(big)
-    assert not ok and len(witness) == 3
+    assert not ok and witness == frozenset({1, 2, 3})
+    # the witness is the least minimal non-face of the smallest size: {5, 6, 9}
+    # before {5, 8, 9}, whatever order the set of 5's neighbors iterates in
+    k = SimplicialComplex(9, [[2], [1, 4], [5, 6, 8], [5, 7, 9], [6, 8, 9],
+                              [3, 7, 8, 9]])
+    assert is_flag(k) == (False, frozenset({5, 6, 9}))
 
 
 def test_is_flag_witness_is_minimal():
@@ -109,6 +115,40 @@ def test_is_flag_witness_is_minimal():
         assert len(witness) >= 3 and not k.has_face(witness)
         assert all(k.has_face(witness - {v}) for v in witness)
     assert failures > 100 and large > 10
+
+
+def pairwise_adjacent(m, edges):
+    """Every nonempty vertex set of the graph on [m] whose vertices are
+    pairwise adjacent, by brute force over all subsets."""
+    return {j for j in all_subsets(m) if j and all(
+        frozenset(e) in edges for e in itertools.combinations(j, 2))}
+
+
+def test_one_clique_walk_matches_brute_force():
+    # clique_complex and is_flag share one clique walk; on seeded graphs
+    # (m <= 8) and facet lists (m <= 10), against all 2^m vertex sets: the
+    # nonempty faces of a clique complex are the pairwise-adjacent sets, and
+    # is_flag holds iff each such set of k's graph is a face of k, its
+    # witness the least by (size, sorted vertices) of those that are not
+    rng = random.Random(2305)
+    for _ in range(60):
+        m = rng.randint(1, 8)
+        edges = {frozenset((a, b)) for a in range(1, m + 1)
+                 for b in range(a + 1, m + 1) if rng.random() < 0.6}
+        k = clique_complex(m, [sorted(e) for e in edges])
+        assert k.faces() - {frozenset()} == pairwise_adjacent(m, edges)
+    failures = 0
+    for _ in range(200):
+        m = rng.randint(3, 10)
+        facets = [rng.sample(range(1, m + 1), rng.randint(1, min(m, 4)))
+                  for _ in range(rng.randint(2, 10))]
+        k = SimplicialComplex(m, facets + [[v] for v in range(1, m + 1)])
+        missing = sorted((j for j in pairwise_adjacent(
+            m, set(k.faces_of_size(2))) if not k.has_face(j)),
+            key=lambda j: (len(j), sorted(j)))
+        assert is_flag(k) == ((False, missing[0]) if missing else (True, None))
+        failures += bool(missing)
+    assert 50 < failures < 150
 
 
 def test_full_subcomplex():
