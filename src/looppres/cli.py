@@ -303,7 +303,7 @@ def main(argv=None):
         return EXIT_PARSE
     try:
         k = load_complex(args.file, max_m=max_m)
-    except (OSError, ValueError, json.JSONDecodeError, LoopPresError) as exc:
+    except (OSError, ValueError, RecursionError, LoopPresError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
 

@@ -41,10 +41,10 @@ class CoefficientRing:
         if kind not in ("Z", "Q", "Fp"):
             raise ValueError("unknown ring kind: %r" % (kind,))
         if kind == "Fp":
-            if p is not None and p >= 2 ** 40:
+            if type(p) is int and p >= 2 ** 40:
                 raise ValueError("F_p needs p < 2^40, got %d" % p)
-            if p is None or p < 2 or not _is_prime(p):
-                raise ValueError("PrimeField needs a prime p, got %r" % (p,))
+            if type(p) is not int or not _is_prime(p):
+                raise ValueError("PrimeField needs a prime int p, got %r" % (p,))
         elif p is not None:
             raise ValueError("p only makes sense for PrimeField")
         self.kind = kind

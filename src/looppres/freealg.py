@@ -131,8 +131,7 @@ class FreePolynomial:
 
     def __init__(self, ring=ZZ, terms=None):
         self.ring = ring
-        self.terms = {w: c for w, c in (terms or {}).items()
-                      if not ring.is_zero(c)}
+        self.terms = ring.settle(terms or {})
 
     # -- constructors --
     @classmethod

@@ -30,7 +30,9 @@ are evaluated there and in k[K]^! by one walk over their sorted words that
 keeps only the current word's prefix products.
 
 Graded dimensions count the paths of the automaton of normal words, whose
-state is the set of letters that may still be appended to the word.
+state is the set of letters that may still be appended to the word.  The
+model's supports and the automaton's states are vertex masks in the face
+index's layout, bit v-1 for vertex v; the automaton steps on its neighbors.
 
 Elements are immutable and hashable so they can serve as letters of bar
 construction tensors downstream.
@@ -46,7 +48,7 @@ from .errors import (
 )
 from .exactlin import ZZ
 from .freealg import FreePolynomial, render_sum, word_sort_key
-from .simplicial import require_flag
+from .simplicial import _mask, _vertices, require_flag
 
 
 class PCAlgebra:
@@ -305,8 +307,9 @@ class SquarefreeModel:
     """k[K]^! in squarefree multidegrees, on signed acyclic orientations.
 
     An element is a dict {support: {orientation: coefficient}} with no zero
-    coefficient or empty support.  Vertex v is bit v of a support; non-edge
-    {a<b} of K has one orientation bit, set when a comes before b.
+    coefficient or empty support.  Vertex v is bit v-1 of a support, as in
+    the face index; non-edge {a<b} of K has one orientation bit, set when a
+    comes before b.
     """
 
     def __init__(self, algebra):
@@ -320,7 +323,7 @@ class SquarefreeModel:
         self._images = {}  # PCElement -> from_element
 
     def generator(self, i):
-        return {1 << i: {0: self.algebra.ring.one()}}
+        return {1 << (i - 1): {0: self.algebra.ring.one()}}
 
     def accumulate(self, acc, x, coeff=1):
         """acc += coeff * x in place; cancelled terms are dropped."""
@@ -335,8 +338,7 @@ class SquarefreeModel:
                 del acc[support]
 
     def _cross_of(self, a_mask, b_mask):
-        pairs = [(a, b) for a in range(self.algebra.m + 1) if a_mask >> a & 1
-                 for b in range(self.algebra.m + 1) if b_mask >> b & 1]
+        pairs = [(a, b) for a in _vertices(a_mask) for b in _vertices(b_mask)]
         return self._cross.setdefault((a_mask, b_mask), (
             sum(self._bit.get(pair, 0) for pair in pairs),  # distinct bits
             -1 if sum(a > b for a, b in pairs) % 2 else 1))
@@ -363,7 +365,7 @@ class SquarefreeModel:
         """(support, orientation, sign) of a word that repeats no letter:
         [w] = sign * f_O for the orientation O that w induces."""
         pairs = [(a, b) for n, a in enumerate(word) for b in word[n + 1:]]
-        return (sum(1 << v for v in word),
+        return (_mask(word),
                 sum(self._bit.get(pair, 0) for pair in pairs),  # distinct bits
                 -1 if sum(a > b for a, b in pairs) % 2 else 1)
 
@@ -425,21 +427,18 @@ def graded_dimensions(algebra, max_degree):
     x, v is appendable iff v != x and either v is not K-adjacent to x, or
     x < v and v was appendable (``_append``'s backward scan passes x).
     """
-    adj = algebra.adjacent
-    letters = range(1, algebra.m + 1)
-    full = sum(1 << v for v in letters)
-    step = {}  # x -> (letters freed by x, letters kept if already allowed)
-    for x in letters:
-        near = sum(1 << v for v in adj[x])
-        step[x] = (full & ~near & ~(1 << x), near & ~((2 << x) - 1))
+    neighbors, full = algebra.complex.index.neighbors, (1 << algebra.m) - 1
+    step = {}  # bit of x -> (letters freed by x, letters kept if allowed)
+    for x in range(1, algebra.m + 1):
+        near, bit = neighbors[x], 1 << (x - 1)
+        step[bit] = (full & ~near & ~bit, near & -(bit << 1))
     counts = [1] + [0] * max_degree
     states = {full: 1}
     for degree in range(1, max_degree + 1):
         nxt = {}
         for state, n in states.items():
-            for x in letters:
-                if state >> x & 1:
-                    free, kept = step[x]
+            for bit, (free, kept) in step.items():
+                if state & bit:
                     s = free | (state & kept)
                     nxt[s] = nxt.get(s, 0) + n
         states = nxt

@@ -61,6 +61,7 @@ from .simplicial import (
     reduced_homology,
     reduced_homology_invariants,
     require_flag,
+    theta_set,
 )
 from .torbar import bar_cycle_closed, epsilon_sign, koszul_invariants
 
@@ -126,19 +127,15 @@ class GptwGenerator:
 
 
 def gptw_generators(k, ring=ZZ):
-    """All generators, ordered by (|J|, J bitmask, i); values in k[K]^!."""
+    """All generators c(J - i, u_i), i in ``theta_set(k, J)``, ordered by
+    (|J|, J bitmask, i); values in k[K]^!."""
     ctx = _context(k)
     algebra = ctx.algebra(ring)
     out = []
     for j_set in all_subsets(ctx.complex.m):
         if len(j_set) < 2:
             continue
-        # Theta(J): the least vertex of each component that misses max(J)
-        top = 1 << (max(j_set) - 1)
-        for comp in ctx.complex.index.components(j_set):
-            if comp & top:
-                continue
-            i = (comp & -comp).bit_length()
+        for i in theta_set(ctx.complex, j_set):
             value = commutator_value(algebra, j_set - {i}, i)
             assert not value.is_zero(), (sorted(j_set), i)
             out.append(GptwGenerator(j_set=j_set, i=i,

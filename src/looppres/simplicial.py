@@ -278,17 +278,15 @@ def path_components(k, j):
 
 
 def theta_set(k, j):
-    """Vertices i in J that are the smallest of a path component of K_J other
-    than the component of max(J)."""
+    """Theta(J): the least vertex of each path component of K_J (a
+    ``k.index.components`` mask) that misses max(J); the one rule for which
+    c(J - i, u_i) are generators."""
     j = frozenset(j)
     if not j:
         raise EmptySubset("theta_set needs a nonempty J")
-    top = max(j)
-    out = []
-    for comp in path_components(k, j):
-        if top not in comp:
-            out.append(comp[0])
-    return frozenset(out)
+    top = 1 << (max(j) - 1)
+    return frozenset((c & -c).bit_length()
+                     for c in k.index.components(j) if not c & top)
 
 
 # ---------------------------------------------------------------------------
@@ -538,12 +536,9 @@ def graph_complex(m, edges):
 
 
 def clique_complex(m, edges):
-    """Flag complex generated by a graph: faces are the cliques."""
-    adj = {i: set() for i in range(1, m + 1)}
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    return SimplicialComplex(m, _cliques(m, adj))
+    """Flag complex generated by a graph: faces are the cliques of
+    ``graph_complex(m, edges)``, which checks the vertices."""
+    return SimplicialComplex(m, _cliques(m, graph_complex(m, edges).adjacency))
 
 
 def octahedron():

@@ -332,7 +332,10 @@ FUZZ_INPUTS = [json.dumps(payload) for payload in (
     {"m": 10 ** 12, "facets": [[1]]}, {"m": 1.5, "facets": [[1]]},
     {"m": True, "facets": [[1]]}, {"m": None, "facets": [[1, 2]]},
     {"facets": [[1, 2, 3]]}, {"facets": [[1, 2], [2, 3], [1, 3]]})] + [
-    "", "{", "[1,", "NaN", "1e400"]
+    "", "{", "[1,", "NaN", "1e400",
+    # deep enough that json's decoder raises RecursionError
+    '{"m": 3, "facets": %s}' % ("[" * 1000 + "]" * 1000),
+    "[" * 10 ** 5 + "]" * 10 ** 5]
 ODD_RINGS = ["F1", "F4", "F", "F0", "F-3", "ZZ", "F2305843009213693951"]
 
 

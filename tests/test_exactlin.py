@@ -316,6 +316,14 @@ def test_parse_ring():
         parse_ring("F4")
 
 
+def test_prime_field_needs_an_int_p():
+    # a float p would compute in floats under the name F2
+    for p in (2.0, 3.0, Fraction(5), "5", True, None):
+        with pytest.raises(ValueError):
+            GF(p)
+    assert GF(5).p == 5 and type(GF(5).from_int(7)) is int
+
+
 def test_invariant_factors_match_snf_diagonal():
     rng = random.Random(11)
     for _ in range(200):

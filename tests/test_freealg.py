@@ -163,6 +163,19 @@ def test_settle_reduces_mod_p_and_drops_zeros():
     assert all(type(c) is Fraction for c in got.values())
 
 
+def test_constructor_settles_over_prime_fields():
+    # a coefficient that is 0 mod p is dropped, any other is reduced mod p
+    w = (atom_u(1),)
+    for p in (2, 3, 5):
+        ring = GF(p)
+        assert FreePolynomial(ring, {w: p}) == FreePolynomial.zero(ring)
+        assert FreePolynomial(ring, {w: -3 * p}).is_zero()
+        assert FreePolynomial(ring, {w: p + 1}).terms == {w: 1}
+        assert FreePolynomial(ring, {w: -1}) == FreePolynomial.monomial(
+            w, p - 1, ring)
+    assert FreePolynomial(ZZ, {w: 4, (): 0}).terms == {w: 4}
+
+
 def test_nested_commutator():
     assert nested_commutator({3}, u(1)) == u(3) * u(1) + u(1) * u(3)
     x = u(1) * u(2)

@@ -30,6 +30,7 @@ from looppres.pcalg import (
     evaluate,
     graded_dimensions,
 )
+from looppres.presentation import gptw_generators
 from looppres.simplicial import (
     all_subsets,
     clique_complex,
@@ -577,6 +578,26 @@ def test_model_matches_normal_form(name, ring):
         y = random_squarefree_element(alg, rng, vertices[cut:])
         assert model.from_element(x * y) == \
             model.mul(model.from_element(x), model.from_element(y)), (x, y)
+
+
+ENCODING_CASES = {"pentagon": lambda: cycle_complex(5),
+                  "hexagon": lambda: cycle_complex(6), "octahedron": octahedron,
+                  **{"gnp7_%d" % s: (lambda s=s: gnp_flag(7, s))
+                     for s in (1, 2, 3)}}
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(3)], ids=repr)
+@pytest.mark.parametrize("name", sorted(ENCODING_CASES))
+def test_model_supports_are_face_index_masks(name, ring):
+    # the model keys a support by the face index's mask of its vertices
+    k = ENCODING_CASES[name]()
+    model = SquarefreeModel(PCAlgebra(k, ring))
+    for j_set in all_subsets(k.m):
+        for i in j_set:
+            assert all(s == k.index.mask(j_set)
+                       for s in model.commutator(j_set - {i}, i)), (j_set, i)
+    words = [w for g in gptw_generators(k, ring) for w, _ in g.value.terms]
+    assert words and all(model.word(w)[0] == k.index.mask(w) for w in words)
 
 
 def test_model_keys_carry_the_support():

@@ -93,7 +93,7 @@ def test_gptw_generator_counts():
 
 
 def test_gptw_generators_are_theta_pairs():
-    # the build reads Theta(J) off the face index: the same (J, i) as theta_set
+    # the build emits one generator for every (J, i) with i in theta_set(k, J)
     for k in (PENTAGON, SQUARE, path_complex(5), gnp_flag(8, 1, p=0.4),
               gnp_flag(8, 2, p=0.4)):
         want = [(j, i) for j in all_subsets(k.m) if len(j) > 1

@@ -540,6 +540,14 @@ def test_face_index_refuses_vertices_outside_range():
                 call()
 
 
+def test_clique_complex_refuses_vertices_outside_range():
+    # the adjacency comes from graph_complex, which checks every vertex
+    for edges in ([(1, 5)], [(0, 1)], [(1, 2), (-1, 3)]):
+        with pytest.raises(VertexOutOfRange):
+            clique_complex(3, edges)
+    assert clique_complex(3, [(1, 2), (2, 3), (1, 3)]) == simplex(3)
+
+
 def _bfs_distances(k, j, v):
     """Graph distances from v in K_J, layer by layer on frozensets."""
     dist, layer, step = {v: 0}, {v}, 0
