@@ -530,8 +530,8 @@ def path_complex(m):
 
 
 def graph_complex(m, edges):
-    """The 1-dimensional complex with the given edges (plus all vertices)."""
-    facets = [[i] for i in range(1, m + 1)] + [list(e) for e in edges]
+    """The 1-dimensional complex on [m] with the given pairs as edges."""
+    facets = [[i] for i in range(1, m + 1)] + [[a, b] for a, b in edges]
     return SimplicialComplex(m, facets)
 
 

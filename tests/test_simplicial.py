@@ -545,6 +545,9 @@ def test_clique_complex_refuses_vertices_outside_range():
     for edges in ([(1, 5)], [(0, 1)], [(1, 2), (-1, 3)]):
         with pytest.raises(VertexOutOfRange):
             clique_complex(3, edges)
+    for edges in ([(1, 2, 3)], [(2,)]):  # an edge is a pair
+        with pytest.raises(ValueError):
+            clique_complex(3, edges)
     assert clique_complex(3, [(1, 2), (2, 3), (1, 3)]) == simplex(3)
 
 
