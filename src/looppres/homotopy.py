@@ -68,10 +68,12 @@ def one_plus_t_power(e, trunc=None):
 
 
 def one_minus_tk_power(k, e, trunc):
-    """(1 - t^k)^e mod t^{trunc+1} via the binomial series (e can be huge)."""
+    """(1 - t^k)^e mod t^{trunc+1} via the binomial series (e can be huge);
+    for e < 0 the coefficient of t^{jk} is C(j - e - 1, j)."""
     out = [0] * (trunc + 1)
-    for j in range(min(e, trunc // k) + 1):
-        out[j * k] = (-1) ** j * math.comb(e, j)
+    for j in range((trunc // k if e < 0 else min(e, trunc // k)) + 1):
+        out[j * k] = math.comb(j - e - 1, j) if e < 0 else \
+            (-1) ** j * math.comb(e, j)
     return out
 
 
@@ -123,11 +125,8 @@ def sphere_multiplicities(p, trunc=16):
         if d < 0:
             raise NegativeMultiplicity("D_%d = %d < 0" % (k + 1, d))
         out[k + 1] = d
-        if d:
-            # divide by (1-t^k)^d: multiply with the inverse of the power
-            power = one_minus_tk_power(k, d, trunc)
-            cur = poly_mul(cur, series_inverse(power, trunc), trunc)
-            cur += [0] * (trunc + 1 - len(cur))
+        if d:  # divide by (1-t^k)^d: multiply by the sparse (1-t^k)^-d
+            cur = poly_mul(one_minus_tk_power(k, -d, trunc), cur, trunc)
     return out
 
 
@@ -138,8 +137,7 @@ def expand_sphere_product(multiplicities, trunc=16):
     for n, d in sorted(multiplicities.items()):
         if d == 0 or n - 1 > trunc:
             continue
-        out = poly_mul(out, one_minus_tk_power(n - 1, d, trunc), trunc)
-        out += [0] * (trunc + 1 - len(out))
+        out = poly_mul(one_minus_tk_power(n - 1, d, trunc), out, trunc)
     return out
 
 

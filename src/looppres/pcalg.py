@@ -250,12 +250,13 @@ def evaluate(poly, algebra, assignment=None):
 
 def _word_values(poly, algebra, one, mul, generator, binding):
     """Yield (word, coefficient, value) per word of ``poly``, a polynomial
-    over the ring of ``algebra``: ``one`` times ``generator(i)`` per u_i and
-    ``binding[symbol]`` per composite.  Sorted, the words that share a prefix
-    are adjacent, so each distinct prefix is multiplied out once and only the
-    current word's are kept.  A false value (zero, or None off the model)
-    goes on unmultiplied, and the symbols after it are not looked up."""
-    if poly.ring != algebra.ring:
+    over the ring of ``algebra`` or over Z (taken through Z -> R): ``one``
+    times ``generator(i)`` per u_i and ``binding[symbol]`` per composite.
+    Sorted, the words that share a prefix are adjacent, so each distinct
+    prefix is multiplied out once and only the current word's are kept.  A
+    false value (zero, or None off the model) goes on unmultiplied, and the
+    symbols after it are not looked up."""
+    if poly.ring != algebra.ring and poly.ring != ZZ:
         raise RingMismatch("polynomial ring %r vs algebra ring %r"
                            % (poly.ring, algebra.ring))
     terms, chain, values = poly.terms, (), [one]  # the value of chain[:n] at n
@@ -309,7 +310,8 @@ class SquarefreeModel:
     An element is a dict {support: {orientation: coefficient}} with no zero
     coefficient or empty support.  Vertex v is bit v-1 of a support, as in
     the face index; non-edge {a<b} of K has one orientation bit, set when a
-    comes before b.
+    comes before b.  The unit is the int 1 over every ring, so a Fraction
+    enters only with a coefficient that carries one.
     """
 
     def __init__(self, algebra):
@@ -323,7 +325,7 @@ class SquarefreeModel:
         self._images = {}  # PCElement -> from_element
 
     def generator(self, i):
-        return {1 << (i - 1): {0: self.algebra.ring.one()}}
+        return {1 << (i - 1): {0: 1}}
 
     def accumulate(self, acc, x, coeff=1):
         """acc += coeff * x in place; cancelled terms are dropped."""
@@ -403,7 +405,7 @@ class SquarefreeModel:
         returns the polynomial of the words that leave the model."""
         value, acc, rest = {}, {}, {}  # acc: plain + and *, reduced once
         for word, coeff, v in _word_values(
-                poly, self.algebra, {0: {0: self.algebra.ring.one()}},
+                poly, self.algebra, {0: {0: 1}},
                 self.mul, self.generator, binding):
             if v is None:
                 rest[word] = coeff

@@ -39,6 +39,8 @@ from .errors import (
     ChainConditionViolated,
     NotACycle,
     PreconditionViolated,
+    RingMismatch,
+    UnboundSymbol,
 )
 from .exactlin import ExactMatrix, ZZ, cokernel_invariants, direct_sum
 from .freealg import (
@@ -479,24 +481,29 @@ def verify_presentation(k, presentation):
         read by ``koszul_invariants``, matches H-tilde(K_J) in every degree;
     (6) every bar cycle lifted from a generating cycle of H-tilde_0,
         H-tilde_1 or H-tilde_2 of some K_J is closed (``bar_cycle_closed``).
-    (1)-(3) run in the squarefree model, symbols bound to the images of the
-    generator values; words leaving it must vanish in k[K]^! apart.
-    (4)-(6) read one sweep over J of the face index.  Failures are
-    reported, never raised.
+    (1)-(3) run in the squarefree model, symbols bound to its own
+    ``commutator`` values and integer rewrites taken as they are; words
+    leaving it must vanish in k[K]^! apart, and a symbol or ring the oracle
+    cannot take fails the check.  (4)-(6) read one sweep over J of the face
+    index.  Failures are reported, never raised.
     """
     ctx = presentation.context  # reused when built on k
     if ctx.complex != k:
         ctx = _context(k)
     ring = presentation.ring
     algebra, model = ctx.algebra(ring), ctx.model(ring)
-    assignment = gptw_assignment(ctx, ring)
-    binding = {sym: model.from_element(v) for sym, v in assignment.items()}
+    gens = gptw_generators(ctx, ring)
+    assignment = {g.symbol: g.value for g in gens}  # for words off the model
+    binding = {g.symbol: model.commutator(g.j_set - {g.i}, g.i) for g in gens}
     checks = []
 
     def evaluates_to(poly, target):
-        value, rest = model.evaluate(poly, binding)
-        return value == target and (
-            not rest.terms or evaluate(rest, algebra, assignment).is_zero())
+        try:
+            value, rest = model.evaluate(poly, binding)
+            return value == target and (not rest.terms or evaluate(
+                rest, algebra, assignment).is_zero())
+        except (RingMismatch, UnboundSymbol):
+            return False
 
     bad = 0
     for g in presentation.generators:
@@ -515,7 +522,7 @@ def verify_presentation(k, presentation):
             continue
         for i in sorted(j_set):
             total += 1
-            if not evaluates_to(rewrite_chat(ctx, j_set, i).convert_ring(ring),
+            if not evaluates_to(rewrite_chat(ctx, j_set, i),
                                 model.commutator(j_set - {i}, i)):
                 failed += 1
     checks.append(("rewriting soundness", failed == 0,

@@ -10,6 +10,7 @@ from looppres.homotopy import (
     h_side_polynomial,
     loop_poincare_series,
     multiplicity_report,
+    one_minus_tk_power,
     one_plus_t_power,
     poly_mul,
     rational_homotopy_ranks,
@@ -38,6 +39,16 @@ def test_series_helpers():
     assert one_plus_t_power(3) == [1, 3, 3, 1]
     with pytest.raises(ValueError):
         series_inverse([2, 1], 3)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_negative_powers_of_one_minus_tk(k):
+    # (1 - t^k)^-d is the series inverse of (1 - t^k)^d, sparse like it
+    for d in range(1, 5):
+        inverse = one_minus_tk_power(k, -d, 30)
+        assert poly_mul(one_minus_tk_power(k, d, 30), inverse, 30) == \
+            [1] + [0] * 30
+        assert inverse == series_inverse(one_minus_tk_power(k, d, 30), 30)
 
 
 def test_euler_identity_named_complexes():

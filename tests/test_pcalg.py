@@ -30,7 +30,7 @@ from looppres.pcalg import (
     evaluate,
     graded_dimensions,
 )
-from looppres.presentation import gptw_generators
+from looppres.presentation import Context, gptw_generators, rewrite_chat
 from looppres.simplicial import (
     all_subsets,
     clique_complex,
@@ -636,3 +636,46 @@ def test_model_evaluate_splits_off_words_that_leave_it():
                        binding)
     with pytest.raises(RingMismatch):
         model.evaluate(FreePolynomial.generator(atom_u(1), QQ), binding)
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_model_commutators_keep_int_coefficients_over_q(m):
+    # the model's unit is the integer 1, so over Q its generators and
+    # commutators carry no Fraction
+    model = SquarefreeModel(PCAlgebra(cycle_complex(m), QQ))
+    values = [model.commutator(j_set - {i}, i)
+              for j_set in all_subsets(m) for i in j_set]
+    coeffs = [c for v in values for t in v.values() for c in t.values()]
+    assert coeffs and all(type(c) is int for c in coeffs)
+
+
+@pytest.mark.parametrize("ring", [GF(3), QQ], ids=repr)
+def test_integer_rewrites_evaluate_in_any_ring(ring):
+    # a polynomial over Z reaches every ring through Z -> R, in k[K]^! and
+    # in the model alike: its value is that of its convert_ring image
+    ctx = Context(cycle_complex(6))
+    alg, model = ctx.algebra(ring), ctx.model(ring)
+    gens = gptw_generators(ctx, ring)
+    assignment = {g.symbol: g.value for g in gens}
+    binding = {g.symbol: model.commutator(g.j_set - {g.i}, g.i) for g in gens}
+    polys = [rewrite_chat(ctx, j_set, i) for j_set in all_subsets(6)
+             if len(j_set) > 1 for i in j_set]
+    assert polys
+    for poly in polys:
+        assert poly.ring == ZZ
+        image = poly.convert_ring(ring)
+        assert evaluate(poly, alg, assignment) == \
+            evaluate(image, alg, assignment)
+        (value, rest), (want, want_rest) = (model.evaluate(poly, binding),
+                                            model.evaluate(image, binding))
+        assert value == want and rest.convert_ring(ring) == want_rest
+
+
+def test_only_integer_polynomials_cross_rings():
+    # Z -> R is the one ring map the evaluators apply; F2 into Q is refused
+    alg = PCAlgebra(cycle_complex(5), QQ)
+    poly = FreePolynomial.generator(atom_u(1), GF(2))
+    with pytest.raises(RingMismatch):
+        evaluate(poly, alg)
+    with pytest.raises(RingMismatch):
+        SquarefreeModel(alg).evaluate(poly, {})

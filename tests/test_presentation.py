@@ -400,6 +400,19 @@ def test_verify_catches_corruption():
                for name, ok, _ in report.checks)
 
 
+def test_verify_reports_a_relation_it_cannot_evaluate():
+    # a symbol with no generator (Theta({1,2,3}) is empty on the pentagon)
+    # or a relation over another ring is a failed row, not an exception
+    pres = build_presentation(PENTAGON, ZZ)
+    rel = pres.relations[0]
+    for poly in (rel.poly + G({1, 2, 3}, 3), rel.poly.convert_ring(GF(3))):
+        pres.relations[0] = replace(rel, poly=poly)
+        rows = check_rows(verify_presentation(PENTAGON, pres))
+        assert rows["relations vanish"] == (False, "0/1 vanish in k[K]!")
+        assert [name for name, (ok, _) in rows.items() if not ok] == [
+            "relations vanish"]
+
+
 def test_verify_counts_generators_by_elimination(monkeypatch):
     # a component search that merges two components of some K_J loses a
     # generator; the certificate's b0 is read off the generators it chose,
@@ -443,8 +456,9 @@ def test_verify_counts_relations_by_homology():
 
 
 def test_verify_checks_generator_values_in_the_model(monkeypatch):
-    # a wrong value that the build and verify's own binding both read from
-    # commutator_value: check (1) compares with the model's commutator
+    # a wrong value that the build reads from commutator_value: check (1)
+    # compares with the model's commutator, and checks (2) and (3) bind the
+    # symbols to the model's commutators, so they do not read it
     real = presentation.commutator_value
 
     def negating(algebra, prefix, i):
@@ -456,6 +470,8 @@ def test_verify_checks_generator_values_in_the_model(monkeypatch):
         pres = build_presentation(PENTAGON, ZZ)
         rows = check_rows(verify_presentation(PENTAGON, pres))
     assert rows["generator values"] == (False, "9/10 match")
+    assert [name for name, (ok, _) in rows.items() if not ok] == [
+        "generator values"]
     # values the model refuses are mismatches, reported and not raised
     pres = build_presentation(PENTAGON, ZZ)
     alg = pc_algebra(pres.context, ZZ)

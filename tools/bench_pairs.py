@@ -17,9 +17,11 @@ With ``--rp2-runs N`` it also times ``presentation --json`` on the flag RP^2
 over Z, N fresh interpreters a side, alternating: CPU time of the build and of
 the emit as that side's ``cli.cmd_presentation`` does it, ``ru_maxrss`` after
 each stage, and the sha256 of the text.  With ``--verify-runs N`` it runs the
-CLI ``verify --json`` on the 10-gon, N fresh interpreters a side, alternating:
-the child's CPU time (user + system), its ``ru_maxrss`` and the sha256 of its
-stdout.  The results file is rewritten after every pair.
+CLI ``verify --json`` on each case of ``VERIFY_CASES`` (the 9-gon over Z and
+over Q, the 10-gon over Z), N fresh interpreters a side, alternating: the
+child's CPU time (user + system), its ``ru_maxrss`` and the sha256 of its
+stdout, under one report key per case.  The results file is rewritten after
+every pair.
 """
 
 import argparse
@@ -34,6 +36,10 @@ import sys
 import tempfile
 
 METRICS = ("setup_s", "ref_cpu_s", "peak_rss_mb")
+
+# report key -> (m of the m-gon, ring): the verify runs of CI's tier-1 steps
+VERIFY_CASES = {"verify_9gon_Z": (9, "Z"), "verify_9gon_Q": (9, "Q"),
+                "verify_10gon": (10, "Z")}
 
 # one flag RP^2 build and emit; prints one JSON line
 RP2_PROBE = r'''
@@ -101,13 +107,15 @@ def run_rp2(root):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def run_verify(root, path):
-    """One ``looppres.cli verify --json`` child on ``path``, timed by wait4."""
+def run_verify(root, path, ring):
+    """One ``looppres.cli verify --json --ring ring`` child on ``path``, timed
+    by wait4."""
     clean(root)
     env = dict(os.environ, PYTHONHASHSEED="0",
                PYTHONPATH=os.path.join(root, "src"))
     with subprocess.Popen(
-            [sys.executable, "-m", "looppres.cli", "verify", "--json", path],
+            [sys.executable, "-m", "looppres.cli", "verify", "--json",
+             "--ring", ring, path],
             cwd=root, env=env, stdout=subprocess.PIPE) as proc:
         out = proc.stdout.read()
         _, status, usage = os.wait4(proc.pid, 0)
@@ -159,7 +167,8 @@ def main(argv=None):
                                             platform.python_version()),
         "seeds": args.seeds,
         "first_side": {str(s): order(s)[0] for s in args.seeds},
-        "end_to_end": {}, "flag_rp2": {}, "verify_10gon": {}}
+        "end_to_end": {}, "flag_rp2": {},
+        **{key: {} for key in VERIFY_CASES}}
     raw = {w: {"parent": [], "change": []}
            for w in args.workloads.split(",")}
 
@@ -196,22 +205,21 @@ def main(argv=None):
             print("flag_rp2", side, json.dumps(rp2[side][-1]), flush=True)
         report["flag_rp2"] = rp2
         save()
-    if args.verify_runs:
+    for key, (m, ring) in VERIFY_CASES.items():
         with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "10gon.json")
-            with open(path, "w") as fh:  # the 10-gon of CI's verify step
-                json.dump({"m": 10, "facets": [[i, i + 1] for i in range(
-                    1, 10)] + [[1, 10]]}, fh)
+            path = os.path.join(tmp, "%dgon.json" % m)
+            with open(path, "w") as fh:
+                json.dump({"m": m, "facets": [[i, i + 1] for i in range(
+                    1, m)] + [[1, m]]}, fh)
             runs = {"parent": [], "change": []}
             for n in range(args.verify_runs):
                 for side in order(n + 1):
-                    runs[side].append(run_verify(roots[side], path))
-                    print("verify_10gon", side, json.dumps(runs[side][-1]),
-                          flush=True)
-                report["verify_10gon"] = {"runs": runs, **{
-                    m: compare(*([r[m] for r in runs[side]]
-                                 for side in ("parent", "change")))
-                    for m in ("cpu_s", "peak_rss_mb") if n}}
+                    runs[side].append(run_verify(roots[side], path, ring))
+                    print(key, side, json.dumps(runs[side][-1]), flush=True)
+                report[key] = {"runs": runs, **{
+                    metric: compare(*([r[metric] for r in runs[side]]
+                                      for side in ("parent", "change")))
+                    for metric in ("cpu_s", "peak_rss_mb") if n}}
                 save()
     return 0
 
