@@ -9,8 +9,8 @@ Z and Gauss-Jordan over a field.  It runs two eliminations: one of d1, whose
 V^-1 gives kernel coordinates, and one of the coordinates of im d2.
 Invariant factors need only the Smith diagonal and build no transforms:
 ``column_invariant_factors`` eliminates on sparse integer columns
-{row: entry}, and ``column_homology_invariants`` checks d1*d2 = 0 and reads
-the homology of an integer chain complex off them by universal coefficients.
+{row: entry}, and ``column_homology_invariants`` reads an integer complex's
+homology off them (``check_chain_condition``, ``universal_coefficients``).
 Dense inputs (``invariant_factors``, ``chain_homology_invariants``) are
 turned into columns first, so both share one check and one elimination.
 Invariant factors follow the divisibility chain d_1 | d_2 | ... with unit
@@ -515,20 +515,31 @@ def column_homology_invariants(diffs, ring=ZZ):
 
     Each d_n is given by its columns, {basis key of C_n: {row: int}}, and
     the row keys of d_{n+1} are basis keys of C_n; the maps are consumed.
-    d_n*d_{n+1} = 0 is checked first (ChainConditionViolated).  Universal
-    coefficients, one Smith diagonal per d_n: with r_n its nonzero factors
-    (over F_p, those prime to p), H_n has rank dim C_n - r_n - r_{n+1} and,
-    over Z, torsion the factors of d_{n+1} other than 1.  No generators."""
+    ``check_chain_condition`` first, then ``universal_coefficients`` of one
+    Smith diagonal per d_n.  No generators."""
     for d1, d2 in zip(diffs, diffs[1:]):
-        for col in d2.values():
-            image = {}
-            for i, x in col.items():
-                for r, y in d1[i].items():
-                    image[r] = image.get(r, 0) + x * y
-            if any(image.values()):
-                raise ChainConditionViolated("d1*d2 != 0")
-    dims = [len(d) for d in diffs]
-    factors = [column_invariant_factors(d) for d in diffs]
+        if d2:
+            check_chain_condition({i: c.items() for i, c in d1.items()}, d2)
+    return universal_coefficients([len(d) for d in diffs], [
+        column_invariant_factors(d) for d in diffs], ring)
+
+
+def check_chain_condition(d1, d2):
+    """ChainConditionViolated unless d1*d2 = 0, for d1 as the (row, entry)
+    pairs ``d1[i]`` of each column i and d2 as columns {i: int}."""
+    for col in d2.values():
+        image = {}
+        for i, x in col.items():
+            for r, y in d1[i]:
+                image[r] = image.get(r, 0) + x * y
+        if any(image.values()):
+            raise ChainConditionViolated("d1*d2 != 0")
+
+
+def universal_coefficients(dims, factors, ring):
+    """H_n over ``ring`` from dim C_n = ``dims[n]`` and the nonzero Smith
+    diagonal ``factors[n]`` of integer d_n: rank dim C_n - r_n - r_{n+1}, r_n
+    their count (prime to p over F_p); over Z, torsion: d_{n+1}'s above 1."""
     if ring.kind == "Fp":
         factors = [[x for x in f if x % ring.p] for f in factors]
     return [ModuleInvariants(rank=dim - len(f1) - len(f2), torsion=[

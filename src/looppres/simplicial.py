@@ -18,12 +18,12 @@ faces by size as vertex bitmasks, each with the index positions and signs of
 its boundary.  The faces of K_J are then a mask test, the boundary of K_J is a
 set of sparse integer columns, and path components and graph distances are
 breadth-first searches on neighbor masks.  Every query about K_J reads it:
-components, betti numbers, homology invariants
-(``exactlin.column_homology_invariants``) and, where they are nonzero, the
-cycles of ``reduced_homology``: H-tilde_0's from the components, the others
-lifted from the same columns.  ``boundary_matrix`` and ``faces_within``
-build K_J's dense matrices from the face list; the tests use them as an
-independent reference.
+components, betti numbers, homology invariants (H_1 from the graph and the
+triangle columns, the rest by ``exactlin.column_homology_invariants``) and,
+where they are nonzero, the cycles of ``reduced_homology``: H-tilde_0's from
+the components, the others lifted from the columns.  ``boundary_matrix`` and
+``faces_within`` build K_J's dense matrices from the face list; the tests use
+them as an independent reference.
 """
 
 from __future__ import annotations
@@ -36,8 +36,12 @@ from .errors import EmptySubset, FaceOutsideJ, NotFlag, VertexOutOfRange
 from .exactlin import (
     ZZ,
     ExactMatrix,
+    ModuleInvariants,
+    check_chain_condition,
     column_homology_invariants,
     column_homology_with_representatives,
+    column_invariant_factors,
+    universal_coefficients,
 )
 
 DEFAULT_MAX_M = 24
@@ -367,8 +371,23 @@ def reduced_homology(k, j, ring=ZZ, degree=1):
 
 
 def reduced_homology_invariants(k, j, ring=ZZ, degree=1):
-    """``reduced_homology`` without cycles, from the face index."""
-    return k.index.homology_invariants(j, ring, (degree, degree + 1))[0]
+    """``reduced_homology`` without cycles, from the face index.
+
+    H_1 (``degree`` 2): the edge boundary is totally unimodular (Schrijver
+    1986, section 19), so its Smith diagonal is |J| - c_J ones over every
+    ring (c_J path components).  A forest has H_1 = 0; else only the triangle
+    columns are built, checked against the index's edges and reduced."""
+    if degree != 2:
+        return k.index.homology_invariants(j, ring, (degree, degree + 1))[0]
+    jmask, nbrs = k.index.mask(j), k.index.neighbors
+    edges = sum((nbrs[v] & jmask).bit_count() for v in _vertices(jmask)) // 2
+    ones = jmask.bit_count() - len(_components(nbrs, jmask))
+    if edges == ones:  # a forest
+        return ModuleInvariants(rank=0)
+    (triangles,) = k.index.columns(j, (3,))
+    check_chain_condition(k.index.boundary[2], triangles)
+    factors = column_invariant_factors(triangles)
+    return universal_coefficients([edges], [[1] * ones, factors], ring)[0]
 
 
 def reduced_betti0(k, j):

@@ -340,13 +340,47 @@ def test_rp2_flag12_counts_through_invariants():
     assert h1[QQ].is_zero()
 
 
-def test_homology_invariants_chain_condition_enforced():
-    # reduced_homology_invariants reads the complex's own index; corrupt
-    # that of a fresh complex, never a shared one
+def _random_facets(rng, m):
+    """A seeded facet list on [m], flag or not, every vertex a face."""
+    facets = [rng.sample(range(1, m + 1), rng.randint(2, min(4, m)))
+              for _ in range(rng.randint(1, 2 * m))]
+    return SimplicialComplex(m, facets + [[v] for v in range(1, m + 1)])
+
+
+def test_h1_rule_matches_elimination():
+    # reduced_homology_invariants reads H_1 off the graph and the triangle
+    # columns; the face index eliminates both boundary maps
+    rng = random.Random(26)
+    cases = [(k, all_subsets(k.m)) for k in (
+        graph_complex(3, [(1, 2), (2, 3), (1, 3)]),  # H_1 = Z, no 2-face
+        simplex(0), disjoint_points(4), cycle_complex(6), rp2_minimal())]
+    cases += [(_random_facets(rng, m), all_subsets(m)) for m in range(3, 8)
+              for _ in range(2)]
+    cases += [(gnp_flag(m, seed), all_subsets(m)) for m, seed in
+              ((5, 1), (6, 2), (7, 3))]
+    cases.append((rp2_flag12(), [frozenset(range(1, 13))] + [
+        frozenset(rng.sample(range(1, 13), rng.randint(1, 12)))
+        for _ in range(12)]))
+    for k, subsets in cases:
+        for j in subsets:
+            for ring in (ZZ, QQ, GF(2), GF(3)):
+                a = reduced_homology_invariants(k, j, ring, 2)
+                b = k.index.homology_invariants(j, ring, (2, 3))[0]
+                assert (a.rank, a.torsion) == (b.rank, b.torsion), (
+                    k, sorted(j), ring)
+    assert reduced_homology_invariants(
+        rp2_minimal(), range(1, 7), ZZ, 2).torsion == [2]
+
+
+@pytest.mark.parametrize("how", ["flip", "drop"])
+def test_homology_invariants_chain_condition_enforced(how):
+    # reduced_homology_invariants reads the complex's own index, and checks
+    # the triangle columns against its edge boundaries; corrupt that of a
+    # fresh complex, never a shared one
     k = octahedron()
     full = frozenset(range(1, 7))
     assert reduced_homology_invariants(k, full, ZZ, degree=2).is_zero()
-    _corrupt(k.index, "flip")
+    _corrupt(k.index, how)
     with pytest.raises(ChainConditionViolated):
         reduced_homology_invariants(k, full, ZZ, degree=2)
     with pytest.raises(ChainConditionViolated):

@@ -16,12 +16,14 @@ median gap against the parent's IQR.
 With ``--rp2-runs N`` it also times ``presentation --json`` on the flag RP^2
 over Z, N fresh interpreters a side, alternating: CPU time of the build and of
 the emit as that side's ``cli.cmd_presentation`` does it, ``ru_maxrss`` after
-each stage, and the sha256 of the text.  With ``--verify-runs N`` it runs the
-CLI ``verify --json`` on each case of ``VERIFY_CASES`` (the 9-gon over Z and
-over Q, the 10-gon over Z), N fresh interpreters a side, alternating: the
-child's CPU time (user + system), its ``ru_maxrss`` and the sha256 of its
-stdout, under one report key per case.  The results file is rewritten after
-every pair.
+each stage, and the sha256 of the text.  With the same N it runs the CLI
+``analyze --json`` on the flag RP^2 over each ring of ``ANALYZE_RINGS``, under
+one report key per ring.  With ``--verify-runs N`` it runs the CLI
+``verify --json`` on each case of ``VERIFY_CASES`` (the 9-gon over Z and over
+Q, the 10-gon over Z), under one report key per case.  Each CLI run is N
+fresh interpreters a side, alternating, and records the child's CPU time
+(user + system), its ``ru_maxrss`` and the sha256 of its stdout.  The results
+file is rewritten after every pair.
 """
 
 import argparse
@@ -40,6 +42,10 @@ METRICS = ("setup_s", "ref_cpu_s", "peak_rss_mb")
 # report key -> (m of the m-gon, ring): the verify runs of CI's tier-1 steps
 VERIFY_CASES = {"verify_9gon_Z": (9, "Z"), "verify_9gon_Q": (9, "Q"),
                 "verify_10gon": (10, "Z")}
+
+# the rings of ``analyze --json`` on the flag RP^2, each under the report key
+# "analyze_rp2_<ring>": CI's digest steps
+ANALYZE_RINGS = ("Z", "Q", "F2", "F3")
 
 # one flag RP^2 build and emit; prints one JSON line
 RP2_PROBE = r'''
@@ -97,26 +103,36 @@ def run_workload(root, workload, seed):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def child_env(root, dirs=("src",)):
+    return dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=os.pathsep.join(
+        os.path.join(root, d) for d in dirs))
+
+
 def run_rp2(root):
     clean(root)
-    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=os.pathsep.join(
-        os.path.join(root, d) for d in ("src", "tests")))
     proc = subprocess.run([sys.executable, "-c", RP2_PROBE], cwd=root,
-                          env=env, capture_output=True, text=True,
-                          timeout=900, check=True)
+                          env=child_env(root, ("src", "tests")),
+                          capture_output=True, text=True, timeout=900,
+                          check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def run_verify(root, path, ring):
-    """One ``looppres.cli verify --json --ring ring`` child on ``path``, timed
-    by wait4."""
+def write_rp2(root, path):
+    """The flag RP^2 of ``root``'s test corpus as a CLI input file."""
+    with open(path, "w") as fh:
+        subprocess.run([sys.executable, "-c",
+                        "import json; from corpus import rp2_flag12; "
+                        "print(json.dumps(rp2_flag12().to_json_dict()))"],
+                       cwd=root, env=child_env(root, ("src", "tests")),
+                       stdout=fh, timeout=60, check=True)
+
+
+def run_cli(root, argv):
+    """One ``looppres.cli`` child with arguments ``argv``, timed by wait4."""
     clean(root)
-    env = dict(os.environ, PYTHONHASHSEED="0",
-               PYTHONPATH=os.path.join(root, "src"))
     with subprocess.Popen(
-            [sys.executable, "-m", "looppres.cli", "verify", "--json",
-             "--ring", ring, path],
-            cwd=root, env=env, stdout=subprocess.PIPE) as proc:
+            [sys.executable, "-m", "looppres.cli", *argv],
+            cwd=root, env=child_env(root), stdout=subprocess.PIPE) as proc:
         out = proc.stdout.read()
         _, status, usage = os.wait4(proc.pid, 0)
         proc.returncode = os.waitstatus_to_exitcode(status)
@@ -168,6 +184,7 @@ def main(argv=None):
         "seeds": args.seeds,
         "first_side": {str(s): order(s)[0] for s in args.seeds},
         "end_to_end": {}, "flag_rp2": {},
+        **{"analyze_rp2_" + ring: {} for ring in ANALYZE_RINGS},
         **{key: {} for key in VERIFY_CASES}}
     raw = {w: {"parent": [], "change": []}
            for w in args.workloads.split(",")}
@@ -205,22 +222,34 @@ def main(argv=None):
             print("flag_rp2", side, json.dumps(rp2[side][-1]), flush=True)
         report["flag_rp2"] = rp2
         save()
-    for key, (m, ring) in VERIFY_CASES.items():
-        with tempfile.TemporaryDirectory() as tmp:
+
+    def cli_pairs(key, argv, count):
+        runs = {"parent": [], "change": []}
+        for n in range(count):
+            for side in order(n + 1):
+                runs[side].append(run_cli(roots[side], argv))
+                print(key, side, json.dumps(runs[side][-1]), flush=True)
+            report[key] = {"runs": runs, **{
+                metric: compare(*([r[metric] for r in runs[side]]
+                                  for side in ("parent", "change")))
+                for metric in ("cpu_s", "peak_rss_mb") if n}}
+            save()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        if args.rp2_runs:
+            path = os.path.join(tmp, "rp2.json")
+            write_rp2(roots["parent"], path)
+            for ring in ANALYZE_RINGS:
+                cli_pairs("analyze_rp2_" + ring,
+                          ["analyze", "--json", "--ring", ring, path],
+                          args.rp2_runs)
+        for key, (m, ring) in VERIFY_CASES.items():
             path = os.path.join(tmp, "%dgon.json" % m)
             with open(path, "w") as fh:
                 json.dump({"m": m, "facets": [[i, i + 1] for i in range(
                     1, m)] + [[1, m]]}, fh)
-            runs = {"parent": [], "change": []}
-            for n in range(args.verify_runs):
-                for side in order(n + 1):
-                    runs[side].append(run_verify(roots[side], path, ring))
-                    print(key, side, json.dumps(runs[side][-1]), flush=True)
-                report[key] = {"runs": runs, **{
-                    metric: compare(*([r[metric] for r in runs[side]]
-                                      for side in ("parent", "change")))
-                    for metric in ("cpu_s", "peak_rss_mb") if n}}
-                save()
+            cli_pairs(key, ["verify", "--json", "--ring", ring, path],
+                      args.verify_runs)
     return 0
 
 
